@@ -19,11 +19,7 @@ from repro.beff.measurement import MeasurementConfig
 from repro.faults.validity import VALID, RunValidity
 from repro.runtime import sweep as _runtime
 from repro.runtime.supervisor import PoisonRecord, SupervisionPolicy
-from repro.runtime.sweep import (
-    CRASH_AFTER_ENV,
-    SweepJournal,
-    SweepWorkerError,
-)
+from repro.runtime.sweep import CRASH_AFTER_ENV, SweepJournal
 
 if TYPE_CHECKING:
     from repro.machines.spec import MachineSpec
@@ -32,7 +28,6 @@ __all__ = [
     "CRASH_AFTER_ENV",
     "MachineLike",
     "BeffSweepResult",
-    "SweepWorkerError",
     "run_sweep",
 ]
 
@@ -80,7 +75,7 @@ def run_sweep(
     1`` fans partitions over worker processes bit-identically,
     ``journal``/``resume`` give kill-and-resume bit-identity,
     ``retries``/``backoff`` bound re-attempts before
-    :class:`SweepWorkerError`, ``store`` (a
+    :class:`~repro.runtime.scheduler.GridWorkerError`, ``store`` (a
     :class:`~repro.runtime.store.RunStore` or path) serves previously
     simulated partitions byte-identically from the result cache, and
     ``supervision`` runs the partitions under the supervised executor

@@ -5,11 +5,11 @@ partition's value (with a scheduled time of at least 15 minutes for
 official numbers).  This module sweeps partitions and applies that
 rule, which is also exactly what Figs. 3 and 5 plot.
 
-The orchestration — parallel partitions, crash-safe journaling,
-resume, retries — lives in the benchmark-agnostic
-:mod:`repro.runtime.sweep`; this module is the b_eff_io-flavoured
-surface over it (the :class:`SweepResult` type and the legacy
-``run_sweep`` signature).
+The orchestration — crash-safe journaling and resume in
+:mod:`repro.runtime.sweep`, parallel partitions and retries in the
+grid orchestrator it runs on — is shared with b_eff; this module is
+the b_eff_io-flavoured surface over it (the :class:`SweepResult` type
+and the legacy ``run_sweep`` signature).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.runtime.sweep import (
     CRASH_AFTER_ENV,
     OFFICIAL_MINIMUM_T,
     SweepJournal,
-    SweepWorkerError,
 )
 
 if TYPE_CHECKING:
@@ -38,7 +37,6 @@ __all__ = [
     "OFFICIAL_MINIMUM_T",
     "MachineLike",
     "SweepResult",
-    "SweepWorkerError",
     "run_sweep",
 ]
 

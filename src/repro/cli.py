@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from collections.abc import Callable
 
 from repro.beff import MeasurementConfig, run_detail
 from repro.beffio import BeffIOConfig
@@ -29,13 +30,93 @@ EXIT_SANITIZER_FAILED = 4
 EXIT_COMPLETED_DEGRADED = 5
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse ``type`` accepting integers >= ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _partition_list(text: str) -> list[int]:
+    """``--partitions``: comma-separated process counts, each >= 1."""
+    try:
+        sizes = [int(n) for n in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated process counts like 2,4,8, got {text!r}"
+        ) from None
+    if min(sizes) < 1:
+        raise argparse.ArgumentTypeError(f"process counts must be >= 1, got {text!r}")
+    return sizes
+
+
+def _library_key(text: str) -> str:
+    """A machine library key; unknown keys fail with get_machine's hint."""
+    if text not in MACHINES:
+        try:
+            get_machine(text)
+        except KeyError as exc:
+            raise argparse.ArgumentTypeError(exc.args[0]) from None
+    return text
+
+
+def _machine_key(text: str) -> str:
+    """``--machine``: a library key, or ``list``."""
+    return text if text == "list" else _library_key(text)
+
+
+def _machine_keys(text: str) -> list[str]:
+    """``--machines``: comma-separated library keys, or ``all``."""
+    return sorted(MACHINES) if text == "all" else [_library_key(k) for k in text.split(",")]
+
+
 def _machine_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--machine",
+        type=_machine_key,
         default="t3e",
         help=f"machine key or 'list' (default t3e; known: {', '.join(sorted(MACHINES))})",
     )
-    parser.add_argument("--procs", type=int, default=8, help="number of MPI processes")
+    parser.add_argument("--procs", type=_int_at_least(1), default=8,
+                        help="number of MPI processes")
+
+
+def _sweep_parent() -> argparse.ArgumentParser:
+    """The partition-sweep flags both benchmark CLIs share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    group = parent.add_argument_group("partition sweeps")
+    group.add_argument("--partitions", type=_partition_list, metavar="N,N,...",
+                       help="sweep these partition sizes instead of --procs and "
+                            "report the system value (the maximum over partitions)")
+    group.add_argument("--jobs", type=_int_at_least(1), default=1,
+                       help="worker processes for --partitions sweeps (results "
+                            "are identical to a serial sweep)")
+    group.add_argument("--journal", metavar="DIR",
+                       help="crash-safe sweep journal directory (per-partition "
+                            "results are written atomically as they complete)")
+    group.add_argument("--resume", action="store_true",
+                       help="resume a killed sweep from --journal, replaying "
+                            "completed partitions bit-identically")
+    group.add_argument("--retries", type=_int_at_least(0), default=0,
+                       help="re-attempts per failed sweep partition before "
+                            f"giving up with exit code {EXIT_SWEEP_WORKER_FAILED}")
+    return parent
+
+
+def _worker_failed(prog: str, exc) -> int:
+    """Report a cell that failed past its retries (a ``GridWorkerError``)."""
+    print(f"{prog}: {exc}", file=sys.stderr)
+    if exc.worker_traceback:
+        print(exc.worker_traceback, file=sys.stderr, end="")
+    return EXIT_SWEEP_WORKER_FAILED
 
 
 def _fault_args(parser: argparse.ArgumentParser) -> None:
@@ -176,6 +257,7 @@ def _resolve_machine(args) -> object | None:
 def main_beff(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-beff", description="effective bandwidth benchmark (simulated)",
+        parents=[_sweep_parent()],
         epilog="exit codes: 0 success, 2 usage error, "
                f"{EXIT_SWEEP_WORKER_FAILED} sweep partition failed after retries, "
                f"{EXIT_COMPLETED_DEGRADED} completed with quarantined partitions",
@@ -195,23 +277,6 @@ def main_beff(argv: list[str] | None = None) -> int:
                         help="also run the non-averaged detail patterns")
     parser.add_argument("--json", metavar="PATH",
                         help="also write the result as JSON (SKaMPI-style export)")
-    parser.add_argument("--partitions", metavar="N,N,...",
-                        help="sweep these partition sizes instead of --procs and "
-                             "report the best b_eff (same journal/resume/retry "
-                             "contract as repro-beffio)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for --partitions sweeps (results "
-                             "are identical to a serial sweep)")
-    parser.add_argument("--journal", metavar="DIR",
-                        help="crash-safe sweep journal directory (per-partition "
-                             "results are written atomically as they complete)")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume a killed sweep from --journal, replaying "
-                             "completed partitions bit-identically")
-    parser.add_argument("--retries", type=int, default=0,
-                        help="re-attempts per failed sweep partition before "
-                             "giving up with exit code "
-                             f"{EXIT_SWEEP_WORKER_FAILED}")
     _supervision_args(parser)
     _cache_args(parser)
     _fault_args(parser)
@@ -240,21 +305,18 @@ def main_beff(argv: list[str] | None = None) -> int:
         faults=plan,
     )
     if args.partitions:
-        from repro.beff.sweep import SweepWorkerError, run_sweep
+        from repro.beff.sweep import run_sweep
+        from repro.runtime.scheduler import GridWorkerError
 
         store = _store_of(args)
         try:
             sweep = run_sweep(
-                args.machine, [int(n) for n in args.partitions.split(",")],
-                config, jobs=args.jobs,
+                args.machine, args.partitions, config, jobs=args.jobs,
                 journal=args.journal, resume=args.resume, retries=args.retries,
                 backoff=args.backoff, store=store, supervision=supervision,
             )
-        except SweepWorkerError as exc:
-            print(f"repro-beff: {exc}", file=sys.stderr)
-            if exc.worker_traceback:
-                print(exc.worker_traceback, file=sys.stderr, end="")
-            return EXIT_SWEEP_WORKER_FAILED
+        except GridWorkerError as exc:
+            return _worker_failed("repro-beff", exc)
         for r in sweep.results:
             print(f"{r.nprocs:6d} procs  b_eff = {r.b_eff / MB:10.1f} MB/s"
                   f"{'' if r.validity.ok else '  [' + r.validity.state + ']'}")
@@ -293,6 +355,7 @@ def main_beff(argv: list[str] | None = None) -> int:
 def main_beffio(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-beffio", description="effective I/O bandwidth benchmark (simulated)",
+        parents=[_sweep_parent()],
         epilog="exit codes: 0 success, 2 usage error, "
                f"{EXIT_SWEEP_WORKER_FAILED} sweep partition failed after retries, "
                f"{EXIT_COMPLETED_DEGRADED} completed with quarantined partitions",
@@ -311,27 +374,11 @@ def main_beffio(argv: list[str] | None = None) -> int:
     parser.add_argument("--mode", choices=("fast", "reference"), default="fast",
                         help="fast = steady-state repetition fast-forward; "
                              "reference = every repetition simulated (bit-identical)")
-    parser.add_argument("--partitions", metavar="N,N,...",
-                        help="sweep these partition sizes instead of --procs and "
-                             "report the system-level b_eff_io (max over partitions)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for --partitions sweeps (results "
-                             "are identical to a serial sweep)")
     parser.add_argument("--json", metavar="PATH",
                         help="also write the result as JSON (SKaMPI-style export)")
     parser.add_argument("--pattern-budget", type=float, default=None, metavar="SECONDS",
                         help="per-pattern simulated-time budget; overrunning "
                              "patterns are capped and flagged (skip-and-flag)")
-    parser.add_argument("--journal", metavar="DIR",
-                        help="crash-safe sweep journal directory (per-partition "
-                             "results are written atomically as they complete)")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume a killed sweep from --journal, replaying "
-                             "completed partitions bit-identically")
-    parser.add_argument("--retries", type=int, default=0,
-                        help="re-attempts per failed sweep partition before "
-                             "giving up with exit code "
-                             f"{EXIT_SWEEP_WORKER_FAILED}")
     _supervision_args(parser)
     _cache_args(parser)
     _fault_args(parser)
@@ -358,21 +405,18 @@ def main_beffio(argv: list[str] | None = None) -> int:
         pattern_budget=args.pattern_budget,
     )
     if args.partitions:
-        from repro.beffio.sweep import SweepWorkerError, run_sweep
+        from repro.beffio.sweep import run_sweep
+        from repro.runtime.scheduler import GridWorkerError
 
         store = _store_of(args)
         try:
             sweep = run_sweep(
-                args.machine, [int(n) for n in args.partitions.split(",")],
-                config, jobs=args.jobs,
+                args.machine, args.partitions, config, jobs=args.jobs,
                 journal=args.journal, resume=args.resume, retries=args.retries,
                 backoff=args.backoff, store=store, supervision=supervision,
             )
-        except SweepWorkerError as exc:
-            print(f"repro-beffio: {exc}", file=sys.stderr)
-            if exc.worker_traceback:
-                print(exc.worker_traceback, file=sys.stderr, end="")
-            return EXIT_SWEEP_WORKER_FAILED
+        except GridWorkerError as exc:
+            return _worker_failed("repro-beffio", exc)
         for r in sweep.results:
             print(f"{r.nprocs:6d} procs  b_eff_io = {r.b_eff_io / MB:10.2f} MB/s"
                   f"{'' if r.validity.ok else '  [' + r.validity.state + ']'}")
@@ -500,7 +544,7 @@ def main_repro(argv: list[str] | None = None) -> int:
              "content-addressed caching and dynamic scheduling",
     )
     grid.add_argument(
-        "--machines", default="all",
+        "--machines", type=_machine_keys, default="all",
         help="comma-separated machine keys, or 'all' for the whole library "
              f"(known: {', '.join(sorted(MACHINES))})",
     )
@@ -509,9 +553,10 @@ def main_repro(argv: list[str] | None = None) -> int:
         help="comma-separated subset of b_eff,b_eff_io (b_eff_io cells on "
              "machines without a parallel filesystem are skipped)",
     )
-    grid.add_argument("--partitions", default="2,4", metavar="N,N,...",
+    grid.add_argument("--partitions", type=_partition_list, default="2,4",
+                      metavar="N,N,...",
                       help="partition sizes for every grid cell")
-    grid.add_argument("--jobs", type=int, default=1,
+    grid.add_argument("--jobs", type=_int_at_least(1), default=1,
                       help="worker processes (results are identical at any jobs)")
     grid.add_argument("--policy", choices=("dynamic", "static"), default="dynamic",
                       help="dynamic = longest-expected-first balancing; "
@@ -527,7 +572,7 @@ def main_repro(argv: list[str] | None = None) -> int:
                       help="declarative scenario to run instead of the paper "
                            "workload (repeatable: at most one comm and one io "
                            "scenario; see 'repro scenarios list')")
-    grid.add_argument("--retries", type=int, default=0,
+    grid.add_argument("--retries", type=_int_at_least(0), default=0,
                       help="re-attempts per failed cell before giving up with "
                            f"exit code {EXIT_SWEEP_WORKER_FAILED}")
     grid.add_argument("--journal", metavar="DIR",
@@ -552,7 +597,6 @@ def main_repro(argv: list[str] | None = None) -> int:
         run_grid,
     )
 
-    machines = sorted(MACHINES) if args.machines == "all" else args.machines.split(",")
     benchmarks = args.benchmarks.split(",")
     scenario_overrides = _resolve_scenarios(args.scenario)
     configs = {
@@ -566,9 +610,9 @@ def main_repro(argv: list[str] | None = None) -> int:
             configs[benchmark], scenario=scenario
         )
     specs = expand_grid(
-        machines,
+        args.machines,
         benchmarks,
-        [int(n) for n in args.partitions.split(",")],
+        args.partitions,
         configs={b: configs[b] for b in benchmarks},
     )
     store = _store_of(args)
@@ -585,10 +629,7 @@ def main_repro(argv: list[str] | None = None) -> int:
             supervision=supervision,
         )
     except GridWorkerError as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        if exc.worker_traceback:
-            print(exc.worker_traceback, file=sys.stderr, end="")
-        return EXIT_SWEEP_WORKER_FAILED
+        return _worker_failed("repro", exc)
     for cell in outcome.cells:
         value = cell.envelope.values.get("b_eff", cell.envelope.values.get("b_eff_io"))
         shown = f"{value / MB:10.2f} MB/s" if value is not None else "?"

@@ -72,13 +72,17 @@ class PFSConfig:
 
 
 class PFSFile:
-    """A file: an id for cache keys plus its current size."""
+    """A file: an id for cache keys plus its current size.
 
-    _ids = itertools.count()
+    ``file_id`` counts from 0 in creation order *per file system*: the
+    servers order same-instant requests by it, so an id drawn from a
+    process-wide counter made a run's results depend on how many files
+    earlier runs in the same process had created.
+    """
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, file_id: int) -> None:
         self.name = name
-        self.file_id = next(PFSFile._ids)
+        self.file_id = file_id
         self.size = 0
 
     def __repr__(self) -> str:
@@ -106,6 +110,7 @@ class FileSystem:
         ]
         self._client_links: dict[object, tuple[int, int]] = {}
         self._files: dict[str, PFSFile] = {}
+        self._file_ids = itertools.count()
         #: stripe-split plans keyed by (start % stripe period, length);
         #: the split is shift-equivariant under whole stripe periods,
         #: so one canonical plan serves every repetition of a pattern
@@ -120,7 +125,7 @@ class FileSystem:
         """Open (creating if needed) a file by name."""
         f = self._files.get(name)
         if f is None:
-            f = self._files[name] = PFSFile(name)
+            f = self._files[name] = PFSFile(name, next(self._file_ids))
         return f
 
     def exists(self, name: str) -> bool:

@@ -14,15 +14,16 @@ number — and this package is the one spine both hang on:
 * :mod:`repro.runtime.envelope` — the versioned
   :class:`ResultEnvelope` (values + validity + provenance + timings)
   every export and journal record round-trips through;
-* :mod:`repro.runtime.sweep` — the benchmark-agnostic sweep
-  orchestrator: one journal, one retry policy, one worker-error path
-  for both benchmarks;
+* :mod:`repro.runtime.sweep` — partition sweeps for both benchmarks:
+  the journal, resume, and the system-max reduction over a
+  one-machine grid;
 * :mod:`repro.runtime.store` — the persistent content-addressed
   :class:`RunStore` (fingerprint → verified envelope bytes) that makes
   repeated sweeps free;
-* :mod:`repro.runtime.scheduler` — the machine-zoo grid executor:
-  expansion, in-flight dedupe, store integration and dynamic
-  longest-expected-first dispatch.
+* :mod:`repro.runtime.scheduler` — the one orchestrator: grid
+  expansion, in-flight dedupe, store integration, dynamic
+  longest-expected-first dispatch, retries and the worker pool, for
+  grids and sweeps alike.
 
 The per-benchmark entry points (``repro.beff.*``, ``repro.beffio.*``)
 remain the public API; they are thin shims over this package.
@@ -61,7 +62,6 @@ from repro.runtime.scheduler import (
 from repro.runtime.spec import (
     RunSpec,
     cell_fingerprint,
-    legacy_sweep_fingerprint,
     run_spec,
     sweep_fingerprint,
 )
@@ -85,7 +85,6 @@ from repro.runtime.sweep import (
     JournalMismatchError,
     SweepJournal,
     SweepOutcome,
-    SweepWorkerError,
     adapter_for,
     run_sweep,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "RunSpec",
     "run_spec",
     "cell_fingerprint",
-    "legacy_sweep_fingerprint",
     "sweep_fingerprint",
     "RunStore",
     "StoreEntry",
@@ -135,7 +133,6 @@ __all__ = [
     "JournalMismatchError",
     "SweepJournal",
     "SweepOutcome",
-    "SweepWorkerError",
     "adapter_for",
     "run_sweep",
 ]

@@ -24,11 +24,18 @@ cells and executes them with three properties a naive
 
 Workers are processes (the cells are CPU-bound simulations); results
 travel back as envelope dicts and are journaled/stored as they land.
+
+This is the runtime's one orchestrator: a partition sweep
+(:func:`repro.runtime.sweep.run_sweep`) is a one-machine grid run
+through the same :class:`GridScheduler`, retry counter, worker-error
+type, pool loop and worker entry.
 """
 
 from __future__ import annotations
 
 import os
+import pathlib
+import re
 import threading
 import time
 import traceback
@@ -36,11 +43,11 @@ from collections.abc import Iterable, Mapping, Sequence
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.faults.validity import VALID, RunValidity, merge
 from repro.runtime import chaos
-from repro.runtime.envelope import ResultEnvelope, envelope_for
+from repro.runtime.envelope import ResultEnvelope, envelope_for, result_from_envelope
 from repro.runtime.spec import BenchmarkConfig, RunSpec, run_spec
 from repro.runtime.store import RunStore, as_store
 from repro.runtime.supervisor import (
@@ -51,7 +58,11 @@ from repro.runtime.supervisor import (
     supervise,
 )
 
+if TYPE_CHECKING:
+    from repro.runtime.sweep import SweepJournal
+
 __all__ = [
+    "CRASH_AFTER_ENV",
     "CostModel",
     "GridCell",
     "GridOutcome",
@@ -64,6 +75,11 @@ __all__ = [
     "plan_schedule",
     "run_grid",
 ]
+
+#: test/CI hook: when set to an integer k, a run raises right after
+#: journaling its k-th fresh cell — equivalent (for resume purposes) to
+#: killing the process there, because journal writes are atomic
+CRASH_AFTER_ENV = "REPRO_SWEEP_CRASH_AFTER"
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +322,17 @@ class GridOutcome:
 
 
 class GridWorkerError(RuntimeError):
-    """A grid cell failed after exhausting its retries.
+    """A cell failed after exhausting its retries.
 
-    Besides the worker traceback, the failing cell's full identity —
-    fingerprint, benchmark, machine, nprocs and the attempt count —
-    travels both in the message and as attributes, so an operator (or
-    the service layer) can requeue exactly the cell that died without
-    parsing prose.
+    The message names the benchmark, the partition size, the machine,
+    the configuration summary, the fingerprint prefix, the attempt
+    count *and the failing source frame*; the original exception is
+    chained as ``__cause__`` and the worker's full formatted traceback
+    is kept on ``worker_traceback`` so the CLI's exit-code-3 report can
+    show where the worker died.  The identity also travels as
+    attributes (``fingerprint``, ``benchmark``, ``machine``,
+    ``nprocs``, ``attempts``) so an operator can requeue exactly the
+    cell that died without parsing prose.
     """
 
     def __init__(
@@ -334,6 +354,27 @@ class GridWorkerError(RuntimeError):
         self.attempts = attempts
 
 
+def _failure_site(exc: BaseException) -> str:
+    """``file:line in function`` of the deepest frame that raised ``exc``.
+
+    For exceptions re-raised out of a :class:`ProcessPoolExecutor`
+    worker the parent-side traceback only shows executor internals;
+    the worker's real frames travel as a ``_RemoteTraceback`` cause
+    string, so those are parsed in preference.
+    """
+    cause = exc.__cause__
+    if cause is not None and type(cause).__name__ == "_RemoteTraceback":
+        found = re.findall(r'File "([^"]+)", line (\d+), in (\S+)', str(cause))
+        if found:
+            path, line, func = found[-1]
+            return f"{pathlib.Path(path).name}:{line} in {func}"
+    frames = traceback.extract_tb(exc.__traceback__)
+    if not frames:
+        return "no traceback available"
+    last = frames[-1]
+    return f"{pathlib.Path(last.filename).name}:{last.lineno} in {last.name}"
+
+
 class _GridRetry:
     """Attempt counter keyed by (machine, nprocs, benchmark).
 
@@ -351,15 +392,19 @@ class _GridRetry:
         self.attempts: dict[tuple[str, int, str], int] = {}
 
     def failed(self, spec: RunSpec, exc: BaseException) -> None:
+        """Count a failure; raise :class:`GridWorkerError` past the limit."""
         key = (spec.machine, spec.nprocs, spec.benchmark)
         n = self.attempts.get(key, 0) + 1
         self.attempts[key] = n
         fingerprint = spec.fingerprint()
         if n > self.retries:
+            from repro.runtime.sweep import adapter_for
+
+            summary = adapter_for(spec.benchmark).describe_config(spec.config)
             raise GridWorkerError(
-                f"grid cell {spec.benchmark} on {spec.machine!r} at "
-                f"nprocs={spec.nprocs} (fingerprint {fingerprint[:12]}) "
-                f"failed after {n} attempt(s): "
+                f"{spec.benchmark} partition nprocs={spec.nprocs} on machine "
+                f"{spec.machine!r} {summary} (fingerprint {fingerprint[:12]}) "
+                f"failed after {n} attempt(s) at {_failure_site(exc)}: "
                 f"{type(exc).__name__}: {exc}",
                 worker_traceback="".join(
                     traceback.format_exception(type(exc), exc, exc.__traceback__)
@@ -374,14 +419,32 @@ class _GridRetry:
             time.sleep(backoff_delay(fingerprint, n, self.backoff))
 
 
-def _run_cell(benchmark: str, machine: str, nprocs: int, config: Any) -> dict[str, Any]:
-    """Worker entry: run one cell, return its envelope as a plain dict."""
-    from repro.machines import get_machine
-    from repro.runtime.sweep import adapter_for
+def _run_cell(
+    spec: RunSpec, started: Callable[[], None] | None = None
+) -> dict[str, Any]:
+    """The worker entry: run one cell, return its envelope as a plain dict.
 
-    chaos.on_cell(chaos.cell_key(benchmark, machine, nprocs))
-    result = adapter_for(benchmark).run(get_machine(machine), nprocs, config)
-    return chaos.corrupt_payload(envelope_for(result, machine=machine).to_dict())
+    Pool workers, the serial path (:func:`_execute`) and the
+    supervisor's killable workers all run cells through here.  The
+    chaos checkpoint comes first; ``started`` (the supervisor's
+    heartbeat) fires only after it, so an injected hang is silent from
+    the very first beat.
+    """
+    chaos.on_cell(chaos.cell_key(spec.benchmark, spec.machine, spec.nprocs))
+    if started is not None:
+        started()
+    result = spec.run()
+    return chaos.corrupt_payload(envelope_for(result, machine=spec.machine).to_dict())
+
+
+def _run_cell_batch(specs: tuple[RunSpec, ...]) -> list[dict[str, Any]]:
+    """Pool task: run a batch of cells serially (static chunks)."""
+    return [_run_cell(spec) for spec in specs]
+
+
+def _execute(spec: RunSpec) -> ResultEnvelope:
+    """In-process execution of one cell (serial path and submitters)."""
+    return ResultEnvelope.from_dict(_run_cell(spec))
 
 
 def grid_validity(
@@ -407,13 +470,6 @@ def grid_validity(
     return merge(parts)
 
 
-def _execute(spec: RunSpec) -> ResultEnvelope:
-    """In-process execution of one cell (serial path and submitters)."""
-    return ResultEnvelope.from_dict(
-        _run_cell(spec.benchmark, spec.machine, spec.nprocs, spec.config)
-    )
-
-
 def run_grid(
     specs: Sequence[RunSpec],
     jobs: int = 1,
@@ -434,9 +490,10 @@ def run_grid(
     (``policy="static"`` — the baseline, kept for measurement).
 
     With ``journal_root``, every cell — fresh *or* cache-served — is
-    recorded into the per-(benchmark, machine) sweep journal under
-    that root, so an interrupted grid resumes through the same
-    machinery as a single-machine sweep and cache and journal compose.
+    recorded the moment it lands into the per-(benchmark, machine)
+    sweep journal under that root, so an interrupted grid resumes
+    through the same machinery as a single-machine sweep and cache and
+    journal compose.
 
     ``backoff`` seeds the exponential-with-jitter retry delay (see
     :func:`~repro.runtime.supervisor.backoff_delay`).  ``supervision``
@@ -448,106 +505,48 @@ def run_grid(
     a stub in the store sidecar and journal), the grid completes, and
     ``GridOutcome.validity`` reports ``degraded``.
     """
-    run_store = as_store(store)
-    model = cost_model if cost_model is not None else CostModel()
-    retry = _GridRetry(retries, backoff)
+    journals = _grid_journals(journal_root, specs) if journal_root is not None else None
+    return GridScheduler(store).run(
+        specs,
+        jobs=jobs,
+        policy=policy,
+        cost_model=cost_model,
+        retries=retries,
+        backoff=backoff,
+        supervision=supervision,
+        journals=journals,
+    )
 
-    # dedupe identical fingerprints to one execution; remember each
-    # fingerprint's first position so later duplicates are labelled
-    unique: dict[str, RunSpec] = {}
-    first_at: dict[str, int] = {}
-    for i, spec in enumerate(specs):
-        fp = spec.fingerprint()
-        unique.setdefault(fp, spec)
-        first_at.setdefault(fp, i)
-    deduped = len(specs) - len(unique)
 
-    # serve what the store already has
-    envelopes: dict[str, ResultEnvelope] = {}
-    sources: dict[str, str] = {}
-    pending: list[RunSpec] = []
-    for fp, spec in unique.items():
-        hit = run_store.get(fp) if run_store is not None else None
-        if hit is not None:
-            envelopes[fp] = hit
-            sources[fp] = "cache"
-        else:
-            pending.append(spec)
+def _grid_journals(
+    journal_root: "str | os.PathLike[str]", specs: Sequence[RunSpec]
+) -> dict[tuple[str, str], "SweepJournal"]:
+    """One sweep journal per (benchmark, machine), manifest pinned up front.
 
-    plan = plan_schedule([model.cost(s) for s in pending], jobs, policy)
-    ordered = [pending[i] for i in plan.dispatch]
-    dispatch_order = tuple(s.fingerprint() for s in ordered)
+    Partitions an earlier grid recorded under the same root are kept
+    (:meth:`~repro.runtime.sweep.SweepJournal.pin` does not wipe), so
+    a grid can extend a journal another grid began.
+    """
+    from repro.runtime.spec import cell_fingerprint, sweep_fingerprint
+    from repro.runtime.sweep import SweepJournal
 
-    def finish(spec: RunSpec, envelope: ResultEnvelope) -> None:
-        fp = spec.fingerprint()
-        envelopes[fp] = envelope
-        sources[fp] = "fresh"
-        if run_store is not None:
-            run_store.put(fp, envelope)
-
-    poisoned: tuple[PoisonRecord, ...] = ()
-    if supervision is not None:
-        tasks = [
-            SupervisedTask(
-                key=spec.fingerprint(),
-                benchmark=spec.benchmark,
-                machine=spec.machine,
-                nprocs=spec.nprocs,
-                config=spec.config,
-            )
-            for spec in ordered
-        ]
-        outcome = supervise(tasks, supervision, jobs=jobs)
-        for spec in ordered:
-            payload = outcome.results.get(spec.fingerprint())
-            if payload is not None:
-                finish(spec, ResultEnvelope.from_dict(payload))
-        poisoned = outcome.poisoned
-        if run_store is not None:
-            for record in poisoned:
-                run_store.record_poison(record.key, record.to_dict())
-    elif jobs > 1 and len(ordered) > 1:
-        _run_pool(ordered, plan, jobs, policy, retry, finish)
-    else:
-        for spec in ordered:
-            while True:
-                try:
-                    envelope = _execute(spec)
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except Exception as exc:  # repro-lint: disable=REPRO005 -- retry.failed re-raises (as GridWorkerError) past the retry limit
-                    retry.failed(spec, exc)
-                    continue
-                finish(spec, envelope)
-                break
-
-    if journal_root is not None:
-        _journal_cells(journal_root, unique, envelopes, poisoned)
-
-    cells = tuple(
-        GridCell(
-            spec=spec,
-            envelope=envelopes[spec.fingerprint()],
-            source=(
-                sources[spec.fingerprint()]
-                if first_at[spec.fingerprint()] == i
-                else "dedup"
-            ),
+    by_sweep: dict[tuple[str, str], list[RunSpec]] = {}
+    for spec in {s.fingerprint(): s for s in specs}.values():
+        by_sweep.setdefault((spec.benchmark, spec.machine), []).append(spec)
+    journals: dict[tuple[str, str], SweepJournal] = {}
+    for (benchmark, machine), cells in sorted(by_sweep.items()):
+        journal = SweepJournal(pathlib.Path(journal_root) / f"{benchmark}__{machine}")
+        config = cells[0].config
+        journal.pin(
+            machine,
+            sweep_fingerprint(benchmark, machine, config),
+            cells={
+                str(c.nprocs): cell_fingerprint(benchmark, machine, c.nprocs, config)
+                for c in cells
+            },
         )
-        for i, spec in enumerate(specs)
-        if spec.fingerprint() in envelopes
-    )
-    fresh = sum(1 for s in sources.values() if s == "fresh")
-    cached = sum(1 for s in sources.values() if s == "cache")
-    return GridOutcome(
-        cells=cells,
-        fresh=fresh,
-        cached=cached,
-        deduped=deduped,
-        dispatch_order=dispatch_order,
-        validity=grid_validity((c.envelope for c in cells), poisoned),
-        poisoned=poisoned,
-    )
+        journals[(benchmark, machine)] = journal
+    return journals
 
 
 def _run_pool(
@@ -560,9 +559,9 @@ def _run_pool(
 ) -> None:
     """Fan cells over worker processes following the planned dispatch.
 
-    The dynamic policy submits every cell in longest-first order and
-    lets the pool balance; the static policy submits one serial chunk
-    per worker (the pre-partitioned baseline).  A broken pool (worker
+    The dynamic policy submits every cell in dispatch order and lets
+    the pool balance; the static policy submits one serial chunk per
+    worker (the pre-partitioned baseline).  A broken pool (worker
     killed mid-run) is rebuilt and the unfinished cells resubmitted,
     each consuming one retry.
     """
@@ -578,15 +577,17 @@ def _run_pool(
                 for chunk in plan.assignments:
                     batch = tuple(ordered[i] for i in chunk)
                     if batch:
-                        futures[pool.submit(_run_cell_batch, _ship(batch))] = batch
+                        futures[pool.submit(_run_cell_batch, batch)] = batch
             else:
                 for spec in todo:
-                    futures[pool.submit(_run_cell_batch, _ship((spec,)))] = (spec,)
+                    futures[pool.submit(_run_cell_batch, (spec,))] = (spec,)
             broken = False
             order_of = {fut: i for i, fut in enumerate(futures)}
             pending_futs = set(futures)
             while pending_futs:
                 finished, pending_futs = wait(pending_futs, return_when=FIRST_COMPLETED)
+                # wait() returns a set; drain it in submission order so
+                # journal writes and retry accounting are reproducible
                 for fut in sorted(finished, key=order_of.__getitem__):
                     batch = futures[fut]
                     try:
@@ -613,85 +614,26 @@ def _run_pool(
         pool.shutdown(wait=False, cancel_futures=True)
 
 
-def _ship(batch: tuple[RunSpec, ...]) -> list[tuple[str, str, int, Any]]:
-    """Picklable form of a batch (specs hold only registry keys)."""
-    return [(s.benchmark, s.machine, s.nprocs, s.config) for s in batch]
-
-
-def _run_cell_batch(cells: list[tuple[str, str, int, Any]]) -> list[dict[str, Any]]:
-    """Worker entry: run a batch of cells serially (static chunks)."""
-    return [_run_cell(*cell) for cell in cells]
-
-
-def _journal_cells(
-    journal_root: "str | os.PathLike[str]",
-    unique: Mapping[str, RunSpec],
-    envelopes: Mapping[str, ResultEnvelope],
-    poisoned: Sequence[PoisonRecord] = (),
-) -> None:
-    """Record every cell into per-(benchmark, machine) sweep journals.
-
-    Cache-served cells are journaled exactly like fresh ones, so a
-    later ``--resume`` of the per-machine sweep replays them — cache
-    and journal compose instead of competing.  Poisoned cells leave a
-    stub (their failure provenance) in place of a partition file; a
-    later run that heals the cell overwrites the stub with the result.
-    """
-    import pathlib
-
-    from repro.reporting.export import write_json_atomic
-    from repro.runtime.envelope import result_from_envelope
-    from repro.runtime.spec import cell_fingerprint, sweep_fingerprint
-    from repro.runtime.sweep import JOURNAL_SCHEMA, SweepJournal
-
-    root = pathlib.Path(journal_root)
-    by_sweep: dict[tuple[str, str], list[RunSpec]] = {}
-    for spec in unique.values():
-        by_sweep.setdefault((spec.benchmark, spec.machine), []).append(spec)
-    poison_by_sweep: dict[tuple[str, str], list[PoisonRecord]] = {}
-    for record in poisoned:
-        poison_by_sweep.setdefault((record.benchmark, record.machine), []).append(record)
-    for (benchmark, machine), cells in sorted(by_sweep.items()):
-        journal = SweepJournal(root / f"{benchmark}__{machine}")
-        journal.path.mkdir(parents=True, exist_ok=True)
-        config = cells[0].config
-        write_json_atomic(
-            journal.manifest_path,
-            {
-                "schema": JOURNAL_SCHEMA,
-                "machine": machine,
-                "fingerprint": sweep_fingerprint(benchmark, machine, config),
-                "cells": {
-                    str(c.nprocs): cell_fingerprint(
-                        benchmark, machine, c.nprocs, config
-                    )
-                    for c in cells
-                },
-            },
-        )
-        for cell in cells:
-            if cell.fingerprint() in envelopes:
-                journal.record(
-                    result_from_envelope(envelopes[cell.fingerprint()]), machine
-                )
-        for record in poison_by_sweep.get((benchmark, machine), []):
-            journal.record_poison(record)
-
-
 # ---------------------------------------------------------------------------
-# concurrent submission (in-flight dedupe)
+# the executor (grids, sweeps and concurrent submitters)
 # ---------------------------------------------------------------------------
 
 
 class GridScheduler:
-    """Submission front-end with in-flight fingerprint dedupe.
+    """The one executor for grids, sweeps and concurrent submitters.
 
-    ``submit`` is safe to call from many threads: the first submitter
-    of a fingerprint executes it (store-first), every concurrent or
-    later submitter receives *the same* :class:`Future` — and hence
-    the identical envelope object — without a second execution.  This
-    is the surface the ROADMAP's benchmark-as-a-service layer stacks
-    on: N clients racing the same spec cost one simulation.
+    :meth:`run` executes a whole grid; :func:`run_grid` and
+    :func:`~repro.runtime.sweep.run_sweep` are both reductions over
+    it.  :meth:`submit` is safe to call from many threads: the first
+    submitter of a fingerprint executes it (store-first), every
+    concurrent or later submitter receives *the same* :class:`Future`
+    — and hence the identical envelope object — without a second
+    execution.  N clients racing the same spec cost one simulation.
+
+    ``runner`` replaces the worker entry with an in-process callable
+    (``RunSpec -> ResultEnvelope``).  Cells then run serially in this
+    process at any ``jobs`` — which is how a sweep drives a machine
+    object that has no registry key — and cannot be supervised.
     """
 
     def __init__(
@@ -700,11 +642,154 @@ class GridScheduler:
         runner: Callable[[RunSpec], ResultEnvelope] | None = None,
     ) -> None:
         self.store = as_store(store)
-        self._runner = runner if runner is not None else _execute
+        self._runner = runner
         self._lock = threading.Lock()
         self._futures: dict[str, Future[ResultEnvelope]] = {}
         #: executions actually performed (for observability and tests)
         self.executions = 0
+
+    def _run_one(self, spec: RunSpec) -> ResultEnvelope:
+        return (self._runner or _execute)(spec)
+
+    def run(
+        self,
+        specs: Sequence[RunSpec],
+        jobs: int = 1,
+        policy: str = "dynamic",
+        cost_model: CostModel | None = None,
+        retries: int = 0,
+        backoff: float = 0.0,
+        supervision: SupervisionPolicy | None = None,
+        journals: "Mapping[tuple[str, str], SweepJournal] | None" = None,
+    ) -> GridOutcome:
+        """Execute ``specs``: store hits, dedupe, planned dispatch, retries.
+
+        Arguments are those of :func:`run_grid`; ``journals`` maps
+        (benchmark, machine) to the already-pinned journal each such
+        cell is recorded into the moment it lands — store hits as well
+        as fresh results.  With :data:`CRASH_AFTER_ENV` set to ``k``
+        the run raises right after journaling its k-th fresh cell.
+        """
+        if supervision is not None and self._runner is not None:
+            raise ValueError(
+                "supervised cells run in worker processes built from the "
+                "machine registry key; an in-process runner cannot be supervised"
+            )
+        run_store: RunStore | None = self.store
+        model = cost_model if cost_model is not None else CostModel()
+        retry = _GridRetry(retries, backoff)
+        journal_of = journals or {}
+        crash_text = os.environ.get(CRASH_AFTER_ENV)
+        crash_after = int(crash_text) if crash_text else None
+
+        # dedupe identical fingerprints to one execution; remember each
+        # fingerprint's first position so later duplicates are labelled
+        unique: dict[str, RunSpec] = {}
+        first_at: dict[str, int] = {}
+        for i, spec in enumerate(specs):
+            fp = spec.fingerprint()
+            unique.setdefault(fp, spec)
+            first_at.setdefault(fp, i)
+        deduped = len(specs) - len(unique)
+
+        envelopes: dict[str, ResultEnvelope] = {}
+        sources: dict[str, str] = {}
+
+        def land(fp: str, spec: RunSpec, envelope: ResultEnvelope, source: str) -> None:
+            envelopes[fp] = envelope
+            sources[fp] = source
+            journal = journal_of.get((spec.benchmark, spec.machine))
+            if journal is not None:
+                journal.record(result_from_envelope(envelope), spec.machine)
+
+        # serve what the store already has
+        pending: list[RunSpec] = []
+        for fp, spec in unique.items():
+            hit = run_store.get(fp) if run_store is not None else None
+            if hit is not None:
+                land(fp, spec, hit, "cache")
+            else:
+                pending.append(spec)
+
+        plan = plan_schedule([model.cost(s) for s in pending], jobs, policy)
+        ordered = [pending[i] for i in plan.dispatch]
+        dispatch_order = tuple(s.fingerprint() for s in ordered)
+        fresh = 0
+
+        def finish(spec: RunSpec, envelope: ResultEnvelope) -> None:
+            nonlocal fresh
+            fp = spec.fingerprint()
+            land(fp, spec, envelope, "fresh")
+            if run_store is not None:
+                run_store.put(fp, envelope)
+            fresh += 1
+            if crash_after is not None and fresh >= crash_after:
+                raise RuntimeError(
+                    f"injected sweep crash after {fresh} partition(s) "
+                    f"({CRASH_AFTER_ENV}={crash_after})"
+                )
+
+        poisoned: tuple[PoisonRecord, ...] = ()
+        if supervision is not None:
+            tasks = [
+                SupervisedTask(
+                    key=spec.fingerprint(),
+                    benchmark=spec.benchmark,
+                    machine=spec.machine,
+                    nprocs=spec.nprocs,
+                    config=spec.config,
+                )
+                for spec in ordered
+            ]
+            outcome = supervise(tasks, supervision, jobs=jobs)
+            for spec in ordered:
+                payload = outcome.results.get(spec.fingerprint())
+                if payload is not None:
+                    finish(spec, ResultEnvelope.from_dict(payload))
+            poisoned = outcome.poisoned
+            for record in poisoned:
+                journal = journal_of.get((record.benchmark, record.machine))
+                if journal is not None:
+                    journal.record_poison(record)
+                if run_store is not None:
+                    run_store.record_poison(record.key, record.to_dict())
+        elif jobs > 1 and len(ordered) > 1 and self._runner is None:
+            _run_pool(ordered, plan, jobs, policy, retry, finish)
+        else:
+            for spec in ordered:
+                while True:
+                    try:
+                        envelope = self._run_one(spec)
+                    except (KeyboardInterrupt, SystemExit):
+                        raise
+                    except Exception as exc:  # repro-lint: disable=REPRO005 -- retry.failed re-raises (as GridWorkerError) past the retry limit
+                        retry.failed(spec, exc)
+                        continue
+                    finish(spec, envelope)
+                    break
+
+        cells = tuple(
+            GridCell(
+                spec=spec,
+                envelope=envelopes[spec.fingerprint()],
+                source=(
+                    sources[spec.fingerprint()]
+                    if first_at[spec.fingerprint()] == i
+                    else "dedup"
+                ),
+            )
+            for i, spec in enumerate(specs)
+            if spec.fingerprint() in envelopes
+        )
+        return GridOutcome(
+            cells=cells,
+            fresh=fresh,
+            cached=sum(1 for s in sources.values() if s == "cache"),
+            deduped=deduped,
+            dispatch_order=dispatch_order,
+            validity=grid_validity((c.envelope for c in cells), poisoned),
+            poisoned=poisoned,
+        )
 
     def submit(self, spec: RunSpec) -> "Future[ResultEnvelope]":
         """A future for the spec's envelope; dedupes identical specs."""
@@ -722,7 +807,7 @@ class GridScheduler:
         try:
             with self._lock:
                 self.executions += 1
-            envelope = self._runner(spec)
+            envelope = self._run_one(spec)
         except BaseException as exc:  # repro-lint: disable=REPRO005 -- the error travels to every submitter via Future.set_exception
             fut.set_exception(exc)
             # a failed execution must not poison later submitters

@@ -121,31 +121,9 @@ def sweep_fingerprint(benchmark: str, machine: str, config: "BenchmarkConfig") -
     Delegates to :func:`cell_fingerprint` with the partition axis
     erased (:data:`SWEEP_AXIS`), so the sweep digest and every cell
     digest of that sweep are the same scheme — journal manifests,
-    store keys and resume-rejection all share it.  Journals written
-    under the pre-store layout are still resumable through
-    :func:`legacy_sweep_fingerprint`.
+    store keys and resume-rejection all share it.
     """
     return cell_fingerprint(benchmark, machine, SWEEP_AXIS, config)
-
-
-def legacy_sweep_fingerprint(
-    benchmark: str, machine: str, config: "BenchmarkConfig"
-) -> str:
-    """The pre-store sweep digest (no partition axis in the payload).
-
-    Kept only so schema-1 journals written before the unified keying
-    scheme resume instead of being rejected; new manifests always pin
-    :func:`sweep_fingerprint`.
-    """
-    return _digest(
-        {
-            "benchmark": benchmark,
-            "machine": machine,
-            "engine_mode": engine_mode_of(config),
-            "fault_seed": fault_seed_of(config),
-            "config": _config_dict(config),
-        }
-    )
 
 
 @dataclass(frozen=True)
@@ -196,14 +174,23 @@ class RunSpec:
         """
         return cell_fingerprint(self.benchmark, self.machine, self.nprocs, self.config)
 
-    def run(self) -> "BeffResult | BeffIOResult":
-        """Execute the run and return the benchmark's result object."""
-        from repro.machines import get_machine
-        from repro.runtime.sweep import adapter_for
+    def run(self, machine: Any = None) -> "BeffResult | BeffIOResult":
+        """Execute the run and return the benchmark's result object.
 
-        return adapter_for(self.benchmark).run(
-            get_machine(self.machine), self.nprocs, self.config
-        )
+        This is the one place a cell executes: the grid's pool and
+        serial paths, the supervisor's workers and in-process sweeps
+        all come here.  ``machine`` defaults to the registry entry
+        named by :attr:`machine`; a resolved
+        :class:`~repro.machines.MachineSpec` (or any object with
+        ``run_beff``/``run_beffio``) runs in its place.
+        """
+        if machine is None:
+            from repro.machines import get_machine
+
+            machine = get_machine(self.machine)
+        if self.benchmark == "b_eff":
+            return machine.run_beff(self.nprocs, self.config)
+        return machine.run_beffio(self.nprocs, self.config)
 
     def envelope(self) -> "Any":
         """Execute the run and wrap the result in a ResultEnvelope."""

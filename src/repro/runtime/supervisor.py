@@ -297,20 +297,20 @@ def _supervised_entry(
 ) -> None:
     """Worker body of one attempt: heartbeat thread + the cell itself.
 
-    The chaos checkpoint runs *before* the heartbeat thread starts, so
-    an injected hang is silent from the very first beat — exercising
-    heartbeat-loss detection rather than only the deadline.  (A daemon
-    thread would keep beating through a pure-Python hang: the GIL
-    still timeslices it.)
+    The cell runs through the grid's one worker entry, which passes
+    its chaos checkpoint *before* starting the heartbeat thread here,
+    so an injected hang is silent from the very first beat —
+    exercising heartbeat-loss detection rather than only the deadline.
+    (A daemon thread would keep beating through a pure-Python hang:
+    the GIL still timeslices it.)
     """
-    from repro.runtime import chaos
-
     # the beat thread and the worker body share one pipe: every send
     # takes this lock so a beat can never interleave a large payload
     send_lock = threading.Lock()
     stop = threading.Event()
     try:
-        chaos.on_cell(chaos.cell_key(benchmark, machine, nprocs))
+        from repro.runtime.scheduler import _run_cell
+        from repro.runtime.spec import RunSpec
 
         def beat() -> None:
             while not stop.wait(heartbeat_interval_s):
@@ -320,15 +320,9 @@ def _supervised_entry(
                 except (OSError, ValueError):  # repro-lint: disable=REPRO014 -- pipe gone means the supervisor already recorded this attempt; the beat thread just stops
                     return
 
-        threading.Thread(target=beat, daemon=True).start()
-
-        from repro.machines import get_machine
-        from repro.runtime.envelope import envelope_for
-        from repro.runtime.sweep import adapter_for
-
-        result = adapter_for(benchmark).run(get_machine(machine), nprocs, config)
-        payload = chaos.corrupt_payload(
-            envelope_for(result, machine=machine).to_dict()
+        payload = _run_cell(
+            RunSpec(benchmark=benchmark, machine=machine, nprocs=nprocs, config=config),
+            started=threading.Thread(target=beat, daemon=True).start,
         )
         stop.set()
         with send_lock:

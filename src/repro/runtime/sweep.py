@@ -1,22 +1,22 @@
-"""Benchmark-agnostic sweep orchestrator: one journal, one retry
-policy, one worker-error path for both benchmarks.
+"""Partition sweeps: one machine, many partition sizes, one maximum.
 
-Generalizes the b_eff_io partition sweep (``repro.beffio.sweep`` +
-``journal``, which remain as thin shims) so b_eff sweeps get
-``journal``/``resume``/``retries`` and parallel partitions from the
-same machinery:
+The paper quotes a system's b_eff and b_eff_io as the maximum over the
+partitions of one machine, so a sweep is a one-machine grid with one
+reduction at the end.  :func:`run_sweep` owns exactly what is
+sweep-specific and hands every cell it has to run to the grid
+orchestrator (:class:`~repro.runtime.scheduler.GridScheduler`), which
+owns execution, retries, the worker-error path and the pool:
 
 * With ``journal=<dir>``, each partition's result envelope is written
-  atomically the moment it completes; ``resume=True`` loads the
-  completed partitions (bit-identically) and runs only the missing
-  ones.  The journal manifest pins :func:`~repro.runtime.spec.
-  sweep_fingerprint`, which hashes the engine mode and fault-plan
-  seed explicitly — resuming under changed flags raises
-  :class:`JournalMismatchError`.
-* A crashed or failing worker is retried up to ``retries`` times;
+  atomically the moment it lands; ``resume=True`` loads the completed
+  partitions (bit-identically) and runs only the missing ones.  The
+  journal manifest pins :func:`~repro.runtime.spec.sweep_fingerprint`,
+  which hashes the engine mode and fault-plan seed explicitly —
+  resuming under changed flags raises :class:`JournalMismatchError`.
+* A crashed or failing partition is retried up to ``retries`` times;
   when retries are exhausted the failure surfaces as
-  :class:`SweepWorkerError` carrying the partition's configuration
-  and the worker's traceback.
+  :class:`~repro.runtime.scheduler.GridWorkerError` carrying the
+  partition's configuration and the worker's traceback.
 * Partitions whose resilient run produced ``nan`` (invalid) are
   excluded from the system maximum; the sweep's ``validity`` merges
   the partitions' states.
@@ -28,78 +28,29 @@ import json
 import math
 import os
 import pathlib
-import re
-import time
-import traceback
 from collections.abc import Callable, Iterable
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any
 
 from repro.faults.validity import VALID, RunValidity, merge
-from repro.runtime import chaos
+from repro.runtime.envelope import ResultEnvelope, envelope_for, result_from_envelope
+from repro.runtime.scheduler import CRASH_AFTER_ENV as CRASH_AFTER_ENV
+from repro.runtime.scheduler import CostModel, GridScheduler
 from repro.runtime.spec import (
     BenchmarkConfig,
+    RunSpec,
     cell_fingerprint,
-    legacy_sweep_fingerprint,
     sweep_fingerprint,
 )
-from repro.runtime.supervisor import (
-    PoisonRecord,
-    SupervisedTask,
-    SupervisionPolicy,
-    backoff_delay,
-    supervise,
-)
+from repro.runtime.supervisor import PoisonRecord, SupervisionPolicy
 
 #: the official minimum scheduled time for b_eff_io (15 minutes)
 OFFICIAL_MINIMUM_T = 900.0
 
 #: journal layout version — 2 adds the per-cell fingerprint map
-#: (``cells``) that ties each partition file to its store key; schema-1
-#: manifests (pre-store) are still resumable via
-#: :func:`~repro.runtime.spec.legacy_sweep_fingerprint`
+#: (``cells``) that ties each partition file to its store key; a
+#: manifest of any other schema is refused on resume
 JOURNAL_SCHEMA = 2
-
-#: test/CI hook: when set to an integer k, the sweep parent raises
-#: after journaling its k-th partition — equivalent (for resume
-#: purposes) to killing the process there, because partition writes
-#: are atomic
-CRASH_AFTER_ENV = "REPRO_SWEEP_CRASH_AFTER"
-
-
-class SweepWorkerError(RuntimeError):
-    """A partition run failed after exhausting its retries.
-
-    The message names the machine, the partition size, the cell
-    fingerprint, the attempt count, the configuration that failed
-    *and the failing source frame*; the original exception is chained
-    as ``__cause__`` and the worker's full formatted traceback is kept
-    on ``worker_traceback`` so the CLI's exit-code-3 report can show
-    where the worker died, not just which partition it was running.
-    The identity also travels as attributes (``fingerprint``,
-    ``benchmark``, ``machine``, ``nprocs``, ``attempts``) so callers
-    can requeue the exact cell without parsing prose.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        worker_traceback: str = "",
-        fingerprint: str = "",
-        benchmark: str = "",
-        machine: str = "",
-        nprocs: int = 0,
-        attempts: int = 0,
-    ) -> None:
-        super().__init__(message)
-        self.worker_traceback = worker_traceback
-        self.fingerprint = fingerprint
-        self.benchmark = benchmark
-        self.machine = machine
-        self.nprocs = nprocs
-        self.attempts = attempts
 
 
 class JournalMismatchError(RuntimeError):
@@ -109,14 +60,6 @@ class JournalMismatchError(RuntimeError):
 # ---------------------------------------------------------------------------
 # benchmark adapters
 # ---------------------------------------------------------------------------
-
-
-def _beff_run(spec: Any, nprocs: int, config: Any) -> Any:
-    return spec.run_beff(nprocs, config)
-
-
-def _beffio_run(spec: Any, nprocs: int, config: Any) -> Any:
-    return spec.run_beffio(nprocs, config)
 
 
 def _beff_default_config() -> Any:
@@ -164,16 +107,13 @@ def _beffio_official(config: Any) -> bool:
 
 @dataclass(frozen=True)
 class BenchmarkAdapter:
-    """How the generic orchestrator drives one benchmark.
+    """What a sweep needs to know about one benchmark.
 
-    All callables are module-level functions, so adapters (and the
-    worker dispatch by benchmark *name*) survive pickling into
-    :class:`ProcessPoolExecutor` workers.
+    Execution is not here: every cell runs through
+    :meth:`~repro.runtime.spec.RunSpec.run`.
     """
 
     name: str
-    #: (machine spec, nprocs, config) -> result object
-    run: Callable[[Any, int, Any], Any]
     default_config: Callable[[], Any]
     #: the partition's single number (the axis of the system max)
     value_of: Callable[[Any], float]
@@ -186,7 +126,6 @@ class BenchmarkAdapter:
 _ADAPTERS: dict[str, BenchmarkAdapter] = {
     "b_eff": BenchmarkAdapter(
         name="b_eff",
-        run=_beff_run,
         default_config=_beff_default_config,
         value_of=_beff_value,
         describe_config=_beff_describe,
@@ -194,7 +133,6 @@ _ADAPTERS: dict[str, BenchmarkAdapter] = {
     ),
     "b_eff_io": BenchmarkAdapter(
         name="b_eff_io",
-        run=_beffio_run,
         default_config=_beffio_default_config,
         value_of=_beffio_value,
         describe_config=_beffio_describe,
@@ -252,7 +190,21 @@ class SweepJournal:
         fingerprint: str,
         cells: dict[str, str] | None = None,
     ) -> None:
-        """Begin a fresh sweep: wipe stale partitions, pin the manifest.
+        """Begin a fresh sweep: wipe stale partitions, pin the manifest."""
+        self.path.mkdir(parents=True, exist_ok=True)
+        for stale in self.path.glob("partition_*.json"):
+            stale.unlink()
+        for stale in self.path.glob("poison_*.json"):
+            stale.unlink()
+        self.pin(machine, fingerprint, cells)
+
+    def pin(
+        self,
+        machine: str,
+        fingerprint: str,
+        cells: dict[str, str] | None = None,
+    ) -> None:
+        """Write the manifest, keeping any partitions already recorded.
 
         ``cells`` (optional) maps partition size (as a string, JSON
         keys are strings) to that cell's store fingerprint, tying the
@@ -261,10 +213,6 @@ class SweepJournal:
         from repro.reporting.export import write_json_atomic
 
         self.path.mkdir(parents=True, exist_ok=True)
-        for stale in self.path.glob("partition_*.json"):
-            stale.unlink()
-        for stale in self.path.glob("poison_*.json"):
-            stale.unlink()
         manifest: dict[str, Any] = {
             "schema": JOURNAL_SCHEMA,
             "machine": machine,
@@ -274,33 +222,20 @@ class SweepJournal:
             manifest["cells"] = cells
         write_json_atomic(self.manifest_path, manifest)
 
-    def check(
-        self,
-        machine: str,
-        fingerprint: str,
-        legacy_fingerprint: str | None = None,
-    ) -> None:
-        """Verify this journal belongs to (machine, config) before resuming.
-
-        Schema-1 journals (written before the unified cell keying)
-        pinned a different digest of the *same* payload; they stay
-        resumable when ``legacy_fingerprint`` matches.
-        """
+    def check(self, machine: str, fingerprint: str) -> None:
+        """Verify this journal belongs to (machine, config) before resuming."""
         if not self.manifest_path.exists():
             raise JournalMismatchError(
                 f"no journal manifest at {self.manifest_path} — nothing to resume"
             )
         manifest = json.loads(self.manifest_path.read_text())
         schema = manifest.get("schema")
-        if schema == 1 and legacy_fingerprint is not None:
-            expected = legacy_fingerprint
-        elif schema == JOURNAL_SCHEMA:
-            expected = fingerprint
-        else:
+        if schema != JOURNAL_SCHEMA:
             raise JournalMismatchError(
-                f"journal schema {schema!r} != {JOURNAL_SCHEMA}"
+                f"journal at {self.path} has schema {schema!r}, expected "
+                f"{JOURNAL_SCHEMA}; it cannot be resumed — start the sweep afresh"
             )
-        if manifest.get("machine") != machine or manifest.get("fingerprint") != expected:
+        if manifest.get("machine") != machine or manifest.get("fingerprint") != fingerprint:
             raise JournalMismatchError(
                 f"journal at {self.path} was written by a different sweep "
                 f"(machine {manifest.get('machine')!r}, or the config changed); "
@@ -392,122 +327,20 @@ class SweepOutcome:
         return {r.nprocs: value_of(r) for r in self.results}
 
 
-def _failure_site(exc: BaseException) -> str:
-    """``file:line in function`` of the deepest frame that raised ``exc``.
-
-    For exceptions re-raised out of a :class:`ProcessPoolExecutor`
-    worker the parent-side traceback only shows executor internals;
-    the worker's real frames travel as a ``_RemoteTraceback`` cause
-    string, so those are parsed in preference.
-    """
-    cause = exc.__cause__
-    if cause is not None and type(cause).__name__ == "_RemoteTraceback":
-        found = re.findall(r'File "([^"]+)", line (\d+), in (\S+)', str(cause))
-        if found:
-            path, line, func = found[-1]
-            return f"{pathlib.Path(path).name}:{line} in {func}"
-    frames = traceback.extract_tb(exc.__traceback__)
-    if not frames:
-        return "no traceback available"
-    last = frames[-1]
-    return f"{pathlib.Path(last.filename).name}:{last.lineno} in {last.name}"
+#: a sweep dispatches its partitions in ascending order: under a flat
+#: cost model every partition of one sweep costs the same, so the
+#: planner keeps the given order (the journal's crash contract — the
+#: first journaled partition is the smallest — relies on it)
+_IN_ORDER = CostModel(exponent=0.0)
 
 
-def _resolve(spec: Any) -> Any:
-    """A machine key resolves through the registry; specs pass through."""
-    if isinstance(spec, str):
-        from repro.machines import get_machine
+def _in_process(machine: Any) -> Callable[[RunSpec], ResultEnvelope]:
+    """A grid runner executing cells on a machine object in this process."""
 
-        return get_machine(spec)
-    return spec
+    def run(cell: RunSpec) -> ResultEnvelope:
+        return envelope_for(cell.run(machine), cell.machine)
 
-
-def _registry_key(spec: Any) -> str:
-    """Find the registry key of a spec (required to ship it to workers:
-    a :class:`MachineSpec` holds environment-factory closures, so only
-    the key crosses the process boundary)."""
-    from repro.machines import MACHINES
-
-    for key, factory in MACHINES.items():
-        if factory().name == spec.name:
-            return key
-    raise ValueError(
-        f"machine {spec.name!r} is not in the registry; pass the machine "
-        "key (a string) to run_sweep for jobs > 1"
-    )
-
-
-def _run_partition(benchmark: str, key: str, nprocs: int, config: Any) -> Any:
-    """Worker entry: rebuild the machine in-process and run one partition."""
-    from repro.machines import get_machine
-
-    chaos.on_cell(chaos.cell_key(benchmark, key, nprocs))
-    return adapter_for(benchmark).run(get_machine(key), nprocs, config)
-
-
-def _describe(adapter: BenchmarkAdapter, machine: str, nprocs: int, config: Any) -> str:
-    return (
-        f"partition nprocs={nprocs} on machine {machine!r} "
-        f"{adapter.describe_config(config)}"
-    )
-
-
-class _Retry:
-    """Per-partition attempt counter shared by both execution paths.
-
-    Attempts key by (machine, nprocs, benchmark) — not nprocs alone —
-    so a counter reused across a grid never pools two machines'
-    failures at the same partition size into one budget.  The delay
-    between attempts is the supervisor's seeded
-    exponential-backoff-with-jitter schedule
-    (:func:`~repro.runtime.supervisor.backoff_delay`, keyed by the
-    cell fingerprint), replacing the old linear ``backoff * n`` —
-    retry timing is now a reproducible function of the run's identity.
-    """
-
-    def __init__(
-        self,
-        adapter: BenchmarkAdapter,
-        machine: str,
-        config: Any,
-        retries: int,
-        backoff: float,
-    ):
-        self.adapter = adapter
-        self.machine = machine
-        self.config = config
-        self.retries = retries
-        self.backoff = backoff
-        self.attempts: dict[tuple[str, int, str], int] = {}
-
-    def failed(
-        self, nprocs: int, exc: BaseException, machine: str | None = None
-    ) -> None:
-        """Count a failure; raise :class:`SweepWorkerError` past the limit."""
-        cell_machine = machine or self.machine
-        key = (cell_machine, nprocs, self.adapter.name)
-        n = self.attempts.get(key, 0) + 1
-        self.attempts[key] = n
-        fingerprint = cell_fingerprint(
-            self.adapter.name, cell_machine, nprocs, self.config
-        )
-        if n > self.retries:
-            raise SweepWorkerError(
-                f"{_describe(self.adapter, self.machine, nprocs, self.config)} "
-                f"(fingerprint {fingerprint[:12]}) "
-                f"failed after {n} attempt(s) at {_failure_site(exc)}: "
-                f"{type(exc).__name__}: {exc}",
-                worker_traceback="".join(
-                    traceback.format_exception(type(exc), exc, exc.__traceback__)
-                ),
-                fingerprint=fingerprint,
-                benchmark=self.adapter.name,
-                machine=cell_machine,
-                nprocs=nprocs,
-                attempts=n,
-            ) from exc
-        if self.backoff > 0:
-            time.sleep(backoff_delay(fingerprint, n, self.backoff))
+    return run
 
 
 def run_sweep(
@@ -525,22 +358,25 @@ def run_sweep(
 ) -> SweepOutcome:
     """Run one benchmark over several partition sizes of one machine.
 
-    ``spec`` is a :class:`repro.machines.MachineSpec` or a machine
-    registry key; ``partitions`` an iterable of process counts.
-    Returns the per-partition results and the system value (max over
-    partitions that produced a number).
+    ``spec`` is a machine registry key or a resolved machine object
+    (a :class:`repro.machines.MachineSpec`, or anything with
+    ``name``/``run_beff``/``run_beffio``); ``partitions`` an iterable
+    of process counts.  Returns the per-partition results and the
+    system value (max over partitions that produced a number).
 
-    ``jobs > 1`` runs partitions concurrently in worker processes.
-    Every partition is an independent simulation from a fresh
-    environment, so the results are bit-identical to a serial sweep —
-    the workers only change wall-clock time.
+    ``jobs > 1`` runs a registry key's partitions concurrently in
+    worker processes.  Every partition is an independent simulation
+    from a fresh environment, so the results are bit-identical to a
+    serial sweep — the workers only change wall-clock time.  A machine
+    object cannot cross a process boundary: it runs in-process and
+    serially at any ``jobs``, and cannot be supervised.
 
     ``journal`` (a directory path) makes the sweep crash-safe: each
     partition is persisted atomically when it completes, and
     ``resume=True`` replays completed partitions bit-identically
     instead of re-running them.  ``retries``/``backoff`` bound how
     often a crashed or failing partition is re-attempted before
-    :class:`SweepWorkerError` is raised.
+    :class:`~repro.runtime.scheduler.GridWorkerError` is raised.
 
     ``store`` (a :class:`~repro.runtime.store.RunStore` or a path)
     serves partitions whose fingerprint it already holds — verified,
@@ -569,25 +405,23 @@ def run_sweep(
         raise ValueError("resume=True needs a journal")
     if config is None:
         config = adapter.default_config()
-    machine_name = spec if isinstance(spec, str) else spec.name
 
-    from repro.runtime.store import as_store
+    runner: Callable[[RunSpec], ResultEnvelope] | None = None
+    if isinstance(spec, str):
+        from repro.machines import get_machine
 
-    run_store = as_store(store)
-    cell_keys = {
-        n: cell_fingerprint(benchmark, machine_name, n, config) for n in partitions
-    }
+        machine_name = spec
+        display_name = get_machine(spec).name
+    else:
+        machine_name = display_name = spec.name
+        runner = _in_process(spec)
 
     jr = SweepJournal(journal) if isinstance(journal, (str, os.PathLike)) else journal
     done: dict[int, Any] = {}
     if jr is not None:
         fingerprint = sweep_fingerprint(benchmark, machine_name, config)
         if resume:
-            jr.check(
-                machine_name,
-                fingerprint,
-                legacy_sweep_fingerprint(benchmark, machine_name, config),
-            )
+            jr.check(machine_name, fingerprint)
             # hoisted: a comprehension condition re-evaluates its
             # expression per row, so build the membership set once
             wanted = frozenset(partitions)
@@ -596,93 +430,28 @@ def run_sweep(
             jr.start(
                 machine_name,
                 fingerprint,
-                cells={str(n): fp for n, fp in cell_keys.items()},
+                cells={
+                    str(n): cell_fingerprint(benchmark, machine_name, n, config)
+                    for n in partitions
+                },
             )
 
-    crash_after_text = os.environ.get(CRASH_AFTER_ENV)
-    crash_after = int(crash_after_text) if crash_after_text else None
-    fresh = 0
-    cached = 0
-
-    def finish(result: Any) -> None:
-        nonlocal fresh
-        done[result.nprocs] = result
-        if jr is not None:
-            jr.record(result, machine_name)
-        if run_store is not None:
-            from repro.runtime.envelope import envelope_for
-
-            run_store.put(
-                cell_keys[result.nprocs], envelope_for(result, machine_name)
-            )
-        fresh += 1
-        if crash_after is not None and fresh >= crash_after:
-            raise RuntimeError(
-                f"injected sweep crash after {fresh} partition(s) "
-                f"({CRASH_AFTER_ENV}={crash_after})"
-            )
-
-    remaining = [n for n in partitions if n not in done]
-    if run_store is not None and remaining:
-        from repro.runtime.envelope import result_from_envelope
-
-        still: list[int] = []
-        for n in remaining:
-            hit = run_store.get(cell_keys[n])
-            if hit is not None:
-                result = result_from_envelope(hit)
-                done[n] = result
-                if jr is not None:
-                    jr.record(result, machine_name)
-                cached += 1
-            else:
-                still.append(n)
-        remaining = still
-    retry = _Retry(adapter, machine_name, config, retries, backoff)
-    poisoned: tuple[PoisonRecord, ...] = ()
-    if supervision is not None and remaining:
-        from repro.runtime.envelope import ResultEnvelope, result_from_envelope
-
-        key = spec if isinstance(spec, str) else _registry_key(spec)
-        tasks = [
-            SupervisedTask(
-                key=cell_keys[n],
-                benchmark=benchmark,
-                machine=key,
-                nprocs=n,
-                config=config,
-            )
-            for n in remaining
-        ]
-        outcome = supervise(tasks, supervision, jobs=jobs)
-        for n in remaining:
-            payload = outcome.results.get(cell_keys[n])
-            if payload is not None:
-                finish(result_from_envelope(ResultEnvelope.from_dict(payload)))
-        poisoned = outcome.poisoned
-        for record in poisoned:
-            if jr is not None:
-                jr.record_poison(record)
-            if run_store is not None:
-                run_store.record_poison(record.key, record.to_dict())
-        spec = _resolve(spec)
-    elif jobs > 1 and len(remaining) > 1:
-        key = spec if isinstance(spec, str) else _registry_key(spec)
-        _run_parallel(benchmark, key, remaining, config, jobs, retry, finish)
-        spec = _resolve(spec)
-    else:
-        spec = _resolve(spec)
-        for n in remaining:
-            while True:
-                try:
-                    result = adapter.run(spec, n, config)
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except Exception as exc:  # repro-lint: disable=REPRO005 -- retry.failed re-raises (as SweepWorkerError with the captured traceback) past the retry limit
-                    retry.failed(n, exc)
-                    continue
-                finish(result)
-                break
+    grid = GridScheduler(store, runner=runner).run(
+        [
+            RunSpec(benchmark=benchmark, machine=machine_name, nprocs=n, config=config)
+            for n in partitions
+            if n not in done
+        ],
+        jobs=jobs,
+        cost_model=_IN_ORDER,
+        retries=retries,
+        backoff=backoff,
+        supervision=supervision,
+        journals={(benchmark, machine_name): jr} if jr is not None else None,
+    )
+    for cell in grid.cells:
+        done[cell.spec.nprocs] = result_from_envelope(cell.envelope)
+    poisoned = grid.poisoned
 
     results = tuple(done[n] for n in partitions if n in done)
     values = {r.nprocs: adapter.value_of(r) for r in results}
@@ -713,65 +482,13 @@ def run_sweep(
         )
     return SweepOutcome(
         benchmark=benchmark,
-        machine=spec.name if not isinstance(spec, str) else machine_name,
+        machine=display_name,
         results=results,
         system_value=system,
         best_partition=best,
         official=adapter.official_of(config),
         validity=merge(validity_parts),
-        fresh=fresh,
-        cached=cached,
+        fresh=grid.fresh,
+        cached=grid.cached,
         poisoned=poisoned,
     )
-
-
-def _run_parallel(
-    benchmark: str,
-    key: str,
-    remaining: list[int],
-    config: Any,
-    jobs: int,
-    retry: _Retry,
-    finish: Callable[[Any], None],
-) -> None:
-    """Fan partitions over worker processes; journal as each completes.
-
-    A :class:`BrokenProcessPool` (worker killed mid-run) poisons every
-    in-flight future, so the pool is rebuilt and the unfinished
-    partitions resubmitted — each broken partition consumes one retry.
-    """
-    todo = set(remaining)
-    pool = ProcessPoolExecutor(max_workers=min(jobs, len(remaining)))
-    try:
-        while todo:
-            futures: dict[Future[Any], int] = {
-                pool.submit(_run_partition, benchmark, key, n, config): n
-                for n in sorted(todo)
-            }
-            broken = False
-            pending = set(futures)
-            while pending:
-                finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-                # wait() returns a set; drain it in partition order so
-                # journal writes and retry accounting are reproducible
-                for fut in sorted(finished, key=futures.__getitem__):
-                    n = futures[fut]
-                    try:
-                        result = fut.result()
-                    except BrokenProcessPool as exc:
-                        retry.failed(n, exc)
-                        broken = True
-                    except (KeyboardInterrupt, SystemExit):
-                        raise
-                    except Exception as exc:  # repro-lint: disable=REPRO005 -- retry.failed re-raises (as SweepWorkerError with the worker's traceback) past the retry limit
-                        retry.failed(n, exc)
-                    else:
-                        todo.discard(n)
-                        finish(result)
-                if broken:
-                    break
-            if broken and todo:
-                pool.shutdown(wait=False, cancel_futures=True)
-                pool = ProcessPoolExecutor(max_workers=min(jobs, len(todo)))
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)

@@ -299,9 +299,8 @@ class TestHangAndCrashCampaigns:
 
 class TestStorePoisonSidecar:
     def test_record_read_list_and_heal_on_put(self, tmp_path):
+        from repro.runtime import run_spec
         from repro.runtime.envelope import envelope_for
-        from repro.runtime.sweep import adapter_for
-        from repro.machines import get_machine
 
         store = RunStore(tmp_path / "store")
         store.record_poison("k1", {"poisoned": True, "attempts": []})
@@ -311,7 +310,7 @@ class TestStorePoisonSidecar:
         assert store.stats.poisoned == 1
         assert "poisoned=1" in store.stats.describe()
         # a successful put of the same key heals the quarantine
-        result = adapter_for("b_eff").run(get_machine("t3e"), 2, CFG)
+        result = run_spec("b_eff", "t3e", 2, CFG).run()
         store.put("k1", envelope_for(result, machine="t3e"))
         assert store.poisoned_keys() == []
         assert store.poison("k1") is None

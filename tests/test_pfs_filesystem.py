@@ -74,6 +74,14 @@ class TestNamespace:
         assert not fs.exists("data")
         assert all(s.cache.cached_bytes(f.file_id) == 0 for s in fs.servers)
 
+    def test_file_ids_count_per_file_system(self):
+        # servers order same-instant requests by file id, so ids must not
+        # depend on files other file systems in the process created
+        _, first = make_fs()
+        _, second = make_fs()
+        assert [first.open(n).file_id for n in ("a", "b", "c")] == [0, 1, 2]
+        assert [second.open(n).file_id for n in ("x", "y")] == [0, 1]
+
 
 class TestStriping:
     def test_round_robin_server_mapping(self):

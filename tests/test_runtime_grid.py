@@ -26,7 +26,8 @@ from repro.runtime import (
     run_spec,
 )
 from repro.runtime.scheduler import _GridRetry, GridWorkerError
-from repro.runtime.sweep import SweepJournal, _Retry, adapter_for
+from repro.runtime.spec import sweep_fingerprint
+from repro.runtime.sweep import JournalMismatchError, SweepJournal, run_sweep
 
 CFG = MeasurementConfig(backend="analytic")
 IO_CFG = BeffIOConfig(T=1.0, pattern_types=(0,))
@@ -194,8 +195,6 @@ class TestRunGrid:
             )
 
     def test_journal_root_composes_with_sweep_resume(self, tmp_path):
-        from repro.runtime.sweep import run_sweep
-
         root = tmp_path / "journals"
         out = run_grid(self._specs(), journal_root=root)
         # the grid's journals resume through the single-machine sweep
@@ -234,57 +233,36 @@ class TestRetryKeying:
         with pytest.raises(GridWorkerError, match="t3e"):
             retry.failed(spec_a, boom)  # t3e attempt 2: over budget
 
-    def test_sweep_retry_keys_by_machine_not_nprocs_only(self):
-        """Regression: _Retry pooled attempts by nprocs across machines."""
-        adapter = adapter_for("b_eff")
-        retry = _Retry(adapter, "t3e", CFG, retries=1, backoff=0.0)
-        boom = RuntimeError("boom")
-        retry.failed(2, boom)                      # t3e nprocs=2: attempt 1
-        # under the old nprocs-only keying these would pool into the
-        # t3e counter and raise as "attempt 2" / "attempt 3"
-        retry.failed(2, boom, machine="sr2201")    # sr2201: attempt 1
-        retry.failed(2, boom, machine="sx5")       # sx5: attempt 1
-        from repro.runtime.sweep import SweepWorkerError
-
-        with pytest.raises(SweepWorkerError):
-            retry.failed(2, boom)                  # t3e attempt 2 — over
-
 
 class TestLegacyJournals:
-    def test_schema1_journal_resumes_via_legacy_fingerprint(self, tmp_path):
-        """Journals written before the unified keying stay resumable."""
-        from repro.runtime.spec import legacy_sweep_fingerprint
-        from repro.runtime.sweep import run_sweep
-
+    def test_schema1_journal_is_refused(self, tmp_path):
+        """Journals from before the unified keying are refused loudly."""
         baseline = run_sweep("b_eff", "t3e", [2, 4], config=CFG)
-        # fabricate a schema-1 journal exactly as PR 5 wrote it
+        # a schema-1 journal: its manifest pinned a digest without the
+        # partition axis, which no longer exists
         jdir = tmp_path / "old-journal"
         jdir.mkdir()
         (jdir / "manifest.json").write_text(json.dumps({
             "schema": 1,
             "machine": "t3e",
-            "fingerprint": legacy_sweep_fingerprint("b_eff", "t3e", CFG),
+            "fingerprint": "0" * 64,
         }))
         journal = SweepJournal(jdir)
         for result in baseline.results:
             journal.record(result, "t3e")
-        resumed = run_sweep(
-            "b_eff", "t3e", [2, 4], config=CFG, journal=jdir, resume=True
-        )
-        assert resumed.fresh == 0
-        assert resumed.system_value == baseline.system_value
+        with pytest.raises(JournalMismatchError, match="schema"):
+            run_sweep(
+                "b_eff", "t3e", [2, 4], config=CFG, journal=jdir, resume=True
+            )
 
     def test_schema1_with_wrong_config_is_rejected(self, tmp_path):
-        from repro.runtime.spec import legacy_sweep_fingerprint
-        from repro.runtime.sweep import JournalMismatchError, run_sweep
-
         jdir = tmp_path / "old-journal"
         jdir.mkdir()
         other = MeasurementConfig(backend="des")
         (jdir / "manifest.json").write_text(json.dumps({
             "schema": 1,
             "machine": "t3e",
-            "fingerprint": legacy_sweep_fingerprint("b_eff", "t3e", other),
+            "fingerprint": sweep_fingerprint("b_eff", "t3e", other),
         }))
         with pytest.raises(JournalMismatchError):
             run_sweep(
@@ -292,8 +270,6 @@ class TestLegacyJournals:
             )
 
     def test_unknown_schema_is_rejected(self, tmp_path):
-        from repro.runtime.sweep import JournalMismatchError, run_sweep
-
         jdir = tmp_path / "journal"
         jdir.mkdir()
         (jdir / "manifest.json").write_text(json.dumps({
@@ -367,21 +343,14 @@ class TestWorkerErrorIdentity:
         assert exc.fingerprint == spec.fingerprint()
         assert (exc.benchmark, exc.machine, exc.nprocs) == ("b_eff", "t3e", 4)
         assert exc.attempts == 1
-        assert exc.fingerprint[:12] in str(exc)
-        assert "after 1 attempt(s)" in str(exc)
-
-    def test_sweep_worker_error_attributes(self):
-        from repro.runtime.spec import cell_fingerprint
-        from repro.runtime.sweep import SweepWorkerError
-
-        retry = _Retry(adapter_for("b_eff"), "t3e", CFG, retries=0, backoff=0.0)
-        with pytest.raises(SweepWorkerError) as err:
-            retry.failed(4, RuntimeError("boom"))
-        exc = err.value
-        assert exc.fingerprint == cell_fingerprint("b_eff", "t3e", 4, CFG)
-        assert (exc.benchmark, exc.machine, exc.nprocs) == ("b_eff", "t3e", 4)
-        assert exc.attempts == 1
-        assert exc.fingerprint[:12] in str(exc)
+        assert isinstance(exc.__cause__, RuntimeError)
+        message = str(exc)
+        assert "partition nprocs=4" in message
+        assert "machine 't3e'" in message
+        assert "backend='analytic'" in message  # the config summary
+        assert exc.fingerprint[:12] in message
+        assert "after 1 attempt(s)" in message
+        assert "RuntimeError: boom" in message
 
 
 class TestGridRetryExecution:
@@ -412,3 +381,26 @@ class TestGridRetryExecution:
         out = run_grid([run_spec("b_eff", "t3e", 2, CFG)], retries=2)
         assert out.fresh == 1
         assert len(attempts) == 3
+
+    def test_grid_journals_each_cell_as_it_lands(self, monkeypatch, tmp_path):
+        """A grid that dies on a late cell keeps the cells that landed."""
+        import repro.runtime.scheduler as scheduler
+
+        real = scheduler._execute
+
+        def fail_on_two(spec):
+            if spec.nprocs == 2:
+                raise RuntimeError("late cell exploded")
+            return real(spec)
+
+        monkeypatch.setattr(scheduler, "_execute", fail_on_two)
+        specs = expand_grid(["t3e"], ["b_eff"], [2, 4, 8], {"b_eff": CFG})
+        root = tmp_path / "journals"
+        with pytest.raises(GridWorkerError, match="late cell exploded"):
+            # longest-first dispatch runs 8 and 4 before the failing 2
+            run_grid(specs, retries=0, journal_root=root)
+        jdir = root / "b_eff__t3e"
+        assert (jdir / "manifest.json").exists()
+        assert sorted(p.name for p in jdir.glob("partition_*.json")) == [
+            "partition_4.json", "partition_8.json",
+        ]

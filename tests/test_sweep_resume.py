@@ -7,18 +7,20 @@ import pytest
 
 from repro.beffio import BeffIOConfig
 from repro.beffio.benchmark import BeffIOResult
-from repro.beffio.journal import JournalMismatchError, SweepJournal, config_fingerprint
-from repro.beffio.sweep import (
-    CRASH_AFTER_ENV,
-    SweepWorkerError,
-    run_sweep,
-)
-from repro.cli import EXIT_SWEEP_WORKER_FAILED, main_beffio
+from repro.beffio.sweep import CRASH_AFTER_ENV, run_sweep
+from repro.cli import EXIT_SWEEP_WORKER_FAILED, main_beff, main_beffio, main_repro
 from repro.faults import FaultPlan, LinkFault
 from repro.reporting.export import write_json_atomic
+from repro.runtime.scheduler import GridWorkerError
+from repro.runtime.spec import sweep_fingerprint
+from repro.runtime.sweep import JournalMismatchError, SweepJournal
 
 CFG = BeffIOConfig(T=0.8, pattern_types=(0,))
 PARTS = [2, 4]
+
+
+def config_fingerprint(machine, config):
+    return sweep_fingerprint("b_eff_io", machine, config)
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +144,7 @@ class FlakySpec:
 
 class TestRetries:
     def test_worker_error_names_failing_partition(self):
-        with pytest.raises(SweepWorkerError) as exc_info:
+        with pytest.raises(GridWorkerError) as exc_info:
             run_sweep(FailingSpec(), [2], CFG, retries=1)
         message = str(exc_info.value)
         assert "partition nprocs=2" in message
@@ -160,7 +162,7 @@ class TestRetries:
 
     def test_zero_retries_fails_on_first_error(self):
         spec = FlakySpec()
-        with pytest.raises(SweepWorkerError, match="after 1 attempt"):
+        with pytest.raises(GridWorkerError, match="after 1 attempt"):
             run_sweep(spec, [2], CFG, retries=0)
 
     def test_negative_retries_rejected(self):
@@ -200,7 +202,7 @@ class TestParallelSweep:
 class TestCLI:
     def test_sweep_worker_failure_exits_nonzero(self, monkeypatch, capsys):
         def failing_sweep(*args, **kwargs):
-            raise SweepWorkerError("partition nprocs=2 on machine 't3e' failed")
+            raise GridWorkerError("partition nprocs=2 on machine 't3e' failed")
 
         monkeypatch.setattr("repro.beffio.sweep.run_sweep", failing_sweep)
         rc = main_beffio(
@@ -213,6 +215,41 @@ class TestCLI:
         with pytest.raises(SystemExit) as exc_info:
             main_beffio(["--resume"])
         assert exc_info.value.code == 2
+
+    @pytest.mark.parametrize("main", [main_beff, main_beffio])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--machine", "bogus"], "unknown machine 'bogus'"),
+            (["--procs", "0"], "--procs: must be >= 1"),
+            (["--partitions", "2,4", "--jobs", "0"], "--jobs: must be >= 1"),
+            (["--partitions", "2,4", "--retries", "-1"], "--retries: must be >= 0"),
+            (["--partitions", "2,x"], "--partitions: expected comma-separated"),
+            (["--partitions", "0,2"], "--partitions: process counts must be >= 1"),
+        ],
+    )
+    def test_bad_input_is_a_usage_error(self, main, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--jobs", "0"], "--jobs: must be >= 1"),
+            (["--retries", "-1"], "--retries: must be >= 0"),
+            (["--partitions", "4,,8"], "--partitions: expected comma-separated"),
+            (["--machines", "t3e,bogus"], "unknown machine 'bogus'"),
+        ],
+    )
+    def test_sweep_grid_bad_input_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main_repro(["sweep-grid", *argv])
+        assert exc_info.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestAtomicWrites:

@@ -19,11 +19,10 @@ therefore priced through a memoised :class:`_PhasePlan` — routes
 resolved, CSR incidence built and the capped max-min solved exactly
 once per (pattern, method[, stride]), with every message size then
 evaluated as a vectorized ``max(latency + L / rate)`` pass.  The
-allocation itself runs on :class:`repro.sim.kernel.RouteIncidence`
-with ``tie_counts="live"`` — bit-identical to
-:func:`repro.sim.fluid.maxmin_allocate`, which :func:`_capped_maxmin`
-below retains as the reference oracle (the property tests pin the
-plan path against it).
+allocation itself runs on :class:`repro.sim.kernel.RouteIncidence`,
+bit-identical to :func:`repro.sim.oracle.capped_maxmin` — the scalar
+reference oracle that :meth:`RoundModel.phase_time` prices with (the
+property tests pin the plan path against it).
 """
 
 from __future__ import annotations
@@ -34,44 +33,9 @@ import numpy as np
 
 from repro.beff.patterns import CommPattern
 from repro.net.model import Fabric
-from repro.sim.fluid import maxmin_allocate
 from repro.sim.kernel import FloatArray, RouteIncidence
+from repro.sim.oracle import capped_maxmin
 from repro.topology.base import Route
-
-
-def _capped_maxmin(
-    capacities: dict[int, float],
-    routes: list[tuple[int, ...]],
-    caps: list[float | None],
-) -> list[float]:
-    """Max-min rates where flow i may not exceed ``caps[i]``.
-
-    Iterated fixing: allocate, clamp violators to their cap, charge
-    their usage to the links, repeat on the rest — the standard way to
-    fold per-flow rate limits into progressive filling.
-    """
-    n = len(routes)
-    rates: list[float | None] = [None] * n
-    residual = dict(capacities)
-    active = list(range(n))
-    while active:
-        alloc = maxmin_allocate(residual, [routes[i] for i in active])
-        violators = [
-            (idx, i)
-            for idx, i in enumerate(active)
-            if caps[i] is not None and alloc[idx] > caps[i]
-        ]
-        if not violators:
-            for idx, i in enumerate(active):
-                rates[i] = alloc[idx]
-            break
-        for _idx, i in violators:
-            rates[i] = caps[i]
-            for link_id in routes[i]:
-                residual[link_id] = max(1e-12, residual[link_id] - caps[i])
-        fixed = {i for _idx, i in violators}
-        active = [i for i in active if i not in fixed]
-    return [r if r is not None else 0.0 for r in rates]
 
 
 def _capped_maxmin_inc(
@@ -79,7 +43,7 @@ def _capped_maxmin_inc(
     capacities: FloatArray,
     caps: list[float | None],
 ) -> list[float]:
-    """:func:`_capped_maxmin` evaluated on a prebuilt incidence.
+    """:func:`~repro.sim.oracle.capped_maxmin` on a prebuilt incidence.
 
     Bit-identical by construction: the kernel's ``active`` mask
     reproduces calling the oracle on the active sub-list, the violator
@@ -93,7 +57,7 @@ def _capped_maxmin_inc(
     active = np.ones(n, dtype=bool)
     fptr, fcols = incidence.flow_ptr, incidence.flow_cols
     while bool(active.any()):
-        alloc = incidence.solve(residual, active=active, tie_counts="live")
+        alloc = incidence.solve(residual, active=active)
         live = np.nonzero(active)[0].tolist()
         violators = [i for i in live if caps[i] is not None and alloc[i] > caps[i]]
         if not violators:
@@ -249,7 +213,7 @@ class RoundModel:
             metas.append((latency, nbytes))
         if not routes:
             return zero_latency
-        rates = _capped_maxmin(self._capacities, routes, caps)
+        rates = capped_maxmin(self._capacities, routes, caps)
         longest = max(
             latency + nbytes / rate
             for (latency, nbytes), rate in zip(metas, rates)

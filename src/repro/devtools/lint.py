@@ -68,8 +68,8 @@ not matched by a recorded entry fail the run, so CI rejects *new*
 hazards without demanding an instant cleanup of old ones.  Baseline
 entries fingerprint a finding by ``(rule, qualname,
 normalized-statement hash)`` — stable under line drift — and carry a
-one-line ``reason``; the version-1 per-file/per-rule count format is
-still read, with a deprecation note.
+one-line ``reason``.  A baseline in any other format is refused
+(exit 2); regenerate it with ``--write-baseline``.
 
 Run as ``repro-lint [paths]`` (console script) or
 ``python -m repro.devtools.lint``.
@@ -1009,59 +1009,49 @@ def run_engine(
 # -- baseline ----------------------------------------------------------
 
 
-def _v1_key(violation: LintViolation) -> str:
-    return f"{pathlib.PurePath(violation.path).as_posix()}::{violation.rule}"
-
-
 def _v2_key(violation: LintViolation) -> tuple[str, str, str]:
     return (violation.rule, violation.qualname, violation.stmt)
 
 
 @dataclass
 class Baseline:
-    """Forgiven pre-existing debt, in either on-disk format.
+    """Forgiven pre-existing debt (the version-2 on-disk format).
 
-    Version 2 (current) fingerprints an entry by ``(rule, qualname,
-    statement hash)`` with a per-entry count and a one-line reason —
-    stable when unrelated edits shift line numbers.  Version 1 (the
-    original per-``path::rule`` count map) still loads, with a
-    deprecation note, so older checkouts keep working; rewrite it with
-    ``--write-baseline``.
+    An entry fingerprints a finding by ``(rule, qualname, statement
+    hash)`` with a per-entry count and a one-line reason — stable when
+    unrelated edits shift line numbers.
     """
 
     v2: dict[tuple[str, str, str], int] = field(default_factory=dict)
     reasons: dict[tuple[str, str, str], str] = field(default_factory=dict)
-    v1: dict[str, int] = field(default_factory=dict)
-    legacy: bool = False
+
+
+class BaselineFormatError(ValueError):
+    """A baseline file that is not version 2 (never silently applied)."""
 
 
 def load_baseline(path: str | pathlib.Path) -> Baseline:
-    """Read a baseline file; a missing file is an empty baseline."""
+    """Read a baseline file; a missing file is an empty baseline.
+
+    Raises :class:`BaselineFormatError` for any version other than 2.
+    """
     p = pathlib.Path(path)
     if not p.exists():
         return Baseline()
     data = json.loads(p.read_text())
-    version = data.get("version", 1)
-    if version >= 2:
-        baseline = Baseline()
-        for entry in data.get("entries", []):
-            key = (
-                str(entry["rule"]), str(entry["qualname"]), str(entry["stmt"])
-            )
-            baseline.v2[key] = baseline.v2.get(key, 0) + int(entry.get("count", 1))
-            if entry.get("reason"):
-                baseline.reasons[key] = str(entry["reason"])
-        return baseline
-    print(
-        f"repro-lint: {p} uses the deprecated version-1 baseline format "
-        "(per-file rule counts); rewrite it with --write-baseline to get "
-        "line-drift-stable fingerprints",
-        file=sys.stderr,
-    )
-    entries = data.get("entries", {})
-    return Baseline(
-        v1={str(k): int(v) for k, v in entries.items()}, legacy=True
-    )
+    version = data.get("version") if isinstance(data, dict) else None
+    if version != 2:
+        raise BaselineFormatError(
+            f"{p} is not a version-2 baseline (version {version!r}); "
+            "delete it and regenerate it with --write-baseline"
+        )
+    baseline = Baseline()
+    for entry in data.get("entries", []):
+        key = (str(entry["rule"]), str(entry["qualname"]), str(entry["stmt"]))
+        baseline.v2[key] = baseline.v2.get(key, 0) + int(entry.get("count", 1))
+        if entry.get("reason"):
+            baseline.reasons[key] = str(entry["reason"])
+    return baseline
 
 
 def write_baseline(
@@ -1099,30 +1089,21 @@ def write_baseline(
 
 def apply_baseline(
     violations: Sequence[LintViolation],
-    baseline: Baseline | dict[str, int],
+    baseline: Baseline,
 ) -> tuple[list[LintViolation], int]:
     """Split violations into (new, count suppressed by the baseline).
 
     Per fingerprint, up to the baselined count of matches is forgiven
     (earliest lines first — the stable choice when a statement is
-    duplicated); anything beyond is new debt and fails the run.  A
-    bare ``{"path::RULE": count}`` mapping is accepted as a legacy v1
-    baseline.
+    duplicated); anything beyond is new debt and fails the run.
     """
-    if isinstance(baseline, dict):
-        baseline = Baseline(v1=dict(baseline), legacy=True)
-    v2_allowance = dict(baseline.v2)
-    v1_allowance = dict(baseline.v1)
+    allowance = dict(baseline.v2)
     fresh: list[LintViolation] = []
     suppressed = 0
     for violation in violations:  # already sorted by (path, line)
-        key2 = _v2_key(violation)
-        key1 = _v1_key(violation)
-        if v2_allowance.get(key2, 0) > 0:
-            v2_allowance[key2] -= 1
-            suppressed += 1
-        elif v1_allowance.get(key1, 0) > 0:
-            v1_allowance[key1] -= 1
+        key = _v2_key(violation)
+        if allowance.get(key, 0) > 0:
+            allowance[key] -= 1
             suppressed += 1
         else:
             fresh.append(violation)
@@ -1192,8 +1173,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--jobs must be >= 1 (or bare -j for auto)")
 
     try:
+        prior = load_baseline(args.baseline) if args.baseline is not None else None
         report = run_engine(args.paths, cache_dir=args.cache_dir, jobs=jobs)
-    except (OSError, SyntaxError) as exc:
+    except (OSError, SyntaxError, BaselineFormatError) as exc:
         print(f"repro-lint: {exc}", file=sys.stderr)
         return 2
     violations = report.violations
@@ -1220,7 +1202,6 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(graph.to_text())
         return 0
 
-    prior = load_baseline(args.baseline) if args.baseline is not None else None
     if args.write_baseline:
         target = args.baseline or DEFAULT_BASELINE
         write_baseline(target, violations, prior=prior)

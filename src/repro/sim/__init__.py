@@ -11,12 +11,14 @@ The kernel is intentionally small and dependency-free:
 * :class:`~repro.sim.process.Process` / primitives ``Sleep`` and
   :class:`~repro.sim.process.SimEvent` — cooperative processes.
 * :class:`~repro.sim.fluid.FlowNetwork` — bandwidth sharing among
-  concurrent transfers with progressive-filling max-min fairness.
+  concurrent transfers with progressive-filling max-min fairness;
+  :mod:`repro.sim.oracle` holds the scalar reference solvers it (and
+  the analytic b_eff backend) must match exactly.
 """
 
 from repro.sim.engine import Simulator, DeadlockError, EventBudgetError
 from repro.sim.process import Process, SimEvent, Sleep, SleepUntil, Tail, on_trigger, wait_all
-from repro.sim.fluid import FlowNetwork, Flow, Link, maxmin_allocate
+from repro.sim.fluid import FlowNetwork, Flow, Link
 from repro.sim.trace import TraceEvent, Tracer
 
 __all__ = [
@@ -33,7 +35,6 @@ __all__ = [
     "FlowNetwork",
     "Flow",
     "Link",
-    "maxmin_allocate",
     "TraceEvent",
     "Tracer",
 ]

@@ -23,20 +23,25 @@ The engine comes in two modes:
     a barrier trigger one allocation, not N — however the instant's
     handlers interleave.  Each flush re-solves only the connected
     component of links the changed flows touch (max-min fairness
-    decomposes exactly over link-connected components), using cached
-    per-link member tables and live member *counts* instead of the
-    reference solver's per-round membership rescans.  Progress
+    decomposes exactly over link-connected components).  A component
+    below ``_VEC_FLOWS`` flows runs a scalar loop over cached per-link
+    member tables and live member *counts*; a larger one runs the CSR
+    kernel (:class:`repro.sim.kernel.RouteIncidence`).  Both compute
+    exactly :func:`repro.sim.oracle.maxmin_allocate` on the
+    component's routes, ``float.hex`` for ``float.hex``.  Progress
     settling charges per-link byte counters from per-link aggregate
     rates maintained on membership change, and completions pop from a
     min-heap of finish times instead of a scan over all flows.
 
 ``reference``
     The seed behaviour, kept as the correctness (and wall-clock
-    "before") oracle: every membership change immediately re-runs the
-    pure :func:`maxmin_allocate` over *all* active flows, settling
-    walks every flow's route, and the completion timer scans every
-    flow.  ``benchmarks/test_bench_fluid_scaling.py`` asserts the two
-    modes agree to float precision and records their speed ratio.
+    "before") oracle: every membership change immediately re-runs
+    :func:`repro.sim.oracle.maxmin_allocate` over *all* active flows,
+    settling walks every flow's route, and the completion timer scans
+    every flow.  ``benchmarks/test_bench_fluid_scaling.py`` asserts
+    the two modes agree to float precision (one global solve and one
+    solve per component can differ in the last bits of tolerance
+    ties) and records their speed ratio.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ import numpy as np
 
 from repro.sim.engine import Simulator
 from repro.sim.kernel import RouteIncidence
+from repro.sim.oracle import maxmin_allocate
 from repro.sim.process import SimEvent
 
 #: residual bytes below which a flow counts as finished (guards float error)
@@ -60,63 +66,6 @@ _EPS_TIME = 1e-12
 _VEC_FLOWS = 64
 
 _MODES = ("incremental", "reference")
-
-
-def maxmin_allocate(
-    capacities: dict[int, float],
-    routes: list[tuple[int, ...]],
-) -> list[float]:
-    """Progressive-filling max-min fair rates for ``routes``.
-
-    ``capacities`` maps link id -> bytes/s; each route is the tuple of
-    link ids one flow crosses.  Returns one rate per route.  A flow
-    with an empty route gets ``math.inf``.  This is the *reference
-    oracle* for :class:`FlowNetwork`'s incremental solver and is also
-    used directly by the analytic round model of b_eff
-    (``repro.beff.analytic``).
-    """
-    rates = [0.0] * len(routes)
-    residual: dict[int, float] = {}
-    link_members: dict[int, list[int]] = {}
-    unfixed: set[int] = set()
-    for idx, route in enumerate(routes):
-        if not route:
-            rates[idx] = math.inf
-            continue
-        unfixed.add(idx)
-        for link_id in route:
-            residual[link_id] = capacities[link_id]
-            link_members.setdefault(link_id, []).append(idx)
-
-    while unfixed:
-        bottleneck = math.inf
-        for link_id, members in link_members.items():
-            count = sum(1 for i in members if i in unfixed)
-            if count == 0:
-                continue
-            share = residual[link_id] / count
-            if share < bottleneck:
-                bottleneck = share
-        if math.isinf(bottleneck):  # pragma: no cover - defensive
-            for i in sorted(unfixed):
-                rates[i] = math.inf
-            break
-        tol = bottleneck * (1.0 + 1e-12)
-        newly_fixed: list[int] = []
-        for link_id, members in link_members.items():
-            count = sum(1 for i in members if i in unfixed)
-            if count == 0:
-                continue
-            if residual[link_id] / count <= tol:
-                for i in members:
-                    if i in unfixed:
-                        newly_fixed.append(i)
-                        unfixed.discard(i)
-        for i in newly_fixed:
-            rates[i] = bottleneck
-            for link_id in routes[i]:
-                residual[link_id] = max(0.0, residual[link_id] - bottleneck)
-    return rates
 
 
 @dataclass(slots=True)
@@ -297,6 +246,8 @@ class FlowNetwork:
     def link_bytes(self) -> dict[int, float]:
         """Bytes carried per link (hot-link analysis).
 
+        A private cap link's count is dropped when its flow retires, so
+        the keys are public links plus the caps of active flows.
         Reference mode returns the live accounting dict; incremental
         mode materializes the same totals from the slotted arrays plus
         the retired-slot carryover.
@@ -544,11 +495,12 @@ class FlowNetwork:
     def _solve_component(self, flow_ids: list[int]) -> dict[int, float]:
         """Progressive filling over one component, with cached counts.
 
-        Same arithmetic as :func:`maxmin_allocate` (identical bottleneck
-        divisions and residual subtractions in the same per-link order)
-        but the per-round ``sum(1 for i in members if i in unfixed)``
-        rescans are replaced by live member counts maintained as flows
-        are fixed.
+        Exactly :func:`maxmin_allocate` on the component's routes
+        (identical bottleneck divisions and residual subtractions in the
+        same per-link order), but the per-round ``sum(1 for i in members
+        if i in unfixed)`` rescans are replaced by member counts that
+        the saturation scan decrements as it fixes each flow — the live
+        counts the oracle recounts.
         """
         self.allocations += 1
         self.flows_solved += len(flow_ids)
@@ -590,20 +542,20 @@ class FlowNetwork:
                         if fid in unfixed:
                             newly_fixed.append(fid)
                             del unfixed[fid]
+                            for other in flows[fid].route:
+                                counts[other] -= 1
             for fid in newly_fixed:
                 rates[fid] = bottleneck
                 for link_id in flows[fid].route:
                     residual[link_id] = max(0.0, residual[link_id] - bottleneck)
-                    counts[link_id] -= 1
         return rates
 
     def _solve_component_vec(self, flow_ids: list[int]) -> dict[int, float]:
-        """Large components: the CSR kernel with this solver's semantics.
+        """Large components: the CSR kernel, bit-identical to the loop.
 
-        ``tie_counts="frozen"`` selects the cached-count saturation scan
-        that :meth:`_solve_component`'s Python loop performs, so the
-        dispatch threshold cannot change any allocation — the kernel is
-        bit-identical (see ``repro.sim.kernel``'s property tests).
+        Both compute :func:`maxmin_allocate` exactly, so the dispatch
+        threshold cannot change any allocation (see the property tests
+        in ``tests/test_sim_kernel.py``).
         """
         flows = self._flows
         links = self._links
@@ -614,7 +566,7 @@ class FlowNetwork:
             dtype=np.float64,
             count=incidence.n_links,
         )
-        rate_vec = incidence.solve(caps, tie_counts="frozen")
+        rate_vec = incidence.solve(caps)
         if not incidence.has_duplicate_pairs:
             # hand the flush the per-link aggregate rates too: the
             # bincount accumulates each link's members in the same
@@ -653,8 +605,12 @@ class FlowNetwork:
                         self._drop_slot(link_id)
                 self._dirty_links.add(link_id)
         if flow.private_link is not None:
+            # private ids never recur: drop the cap link's byte count
+            # with it (its slot was just released into the carryover)
             del self._links[flow.private_link]
             self._dirty_links.discard(flow.private_link)
+            self._retired_bytes.pop(flow.private_link, None)
+            self._link_bytes.pop(flow.private_link, None)
         self.bytes_completed += flow.total_bytes
         self.flows_completed += 1
 

@@ -3,11 +3,13 @@
 # repro-lint: hot-kernel
 
 This is the large-component / large-round allocation kernel: the same
-progressive-filling algorithm as :func:`repro.sim.fluid.maxmin_allocate`
-(the retained reference oracle), evaluated with whole-array numpy
+progressive-filling algorithm as :func:`repro.sim.oracle.maxmin_allocate`
+(the scalar reference oracle), evaluated with whole-array numpy
 operations over a link×flow incidence in CSR form so a 65k-rank round
 costs a handful of array passes instead of a Python scan per
-saturation round.
+saturation round.  ``FlowNetwork`` dispatches components of
+``_VEC_FLOWS`` (64) flows or more here; the analytic round model
+solves every phase here.
 
 Bit-identity argument
 ---------------------
@@ -23,8 +25,8 @@ approximately.  Per saturation round the oracle computes
   members of an earlier saturated link shrinks a later link's count,
   which *raises* its share (the residual is frozen during the scan),
   so a later tie candidate can drop back out.  Counts only shrink, so
-  the set of links saturated under *frozen* counts is a superset of
-  the truly saturated ones: the kernel computes that candidate set
+  the set of links saturated under round-start counts is a superset
+  of the truly saturated ones: the kernel computes that candidate set
   with one vectorized pass and replays only those few links
   sequentially, recomputing the live count per link — the exact
   divisions the oracle performs, in the exact order.
@@ -37,14 +39,8 @@ approximately.  Per saturation round the oracle computes
   multiplicity level — the same number of identical operations per
   link, in a different (irrelevant) order across links.
 
-``FlowNetwork._solve_component`` — the incremental engine's in-place
-variant and the second oracle this kernel replaces — differs from the
-pure function in exactly one way: its saturation scan tests the
-*frozen* per-round counts (the live decrements happen after the
-scan).  ``tie_counts="frozen"`` reproduces that semantics; the default
-``"live"`` matches :func:`maxmin_allocate`.  Summation never occurs
-on the float path (member counts are integer ``bincount``\\ s), so
-there is no accumulation-order hazard at all.
+Summation never occurs on the float path (member counts are integer
+``bincount``\\ s), so there is no accumulation-order hazard at all.
 """
 
 from __future__ import annotations
@@ -154,22 +150,15 @@ class RouteIncidence:
         self,
         capacities: FloatArray,
         active: BoolArray | None = None,
-        tie_counts: str = "live",
     ) -> FloatArray:
-        """Max-min rates, bit-identical to the selected reference oracle.
+        """Max-min rates, bit-identical to :func:`~repro.sim.oracle.maxmin_allocate`.
 
         ``capacities`` is indexed by column (aligned with
         :attr:`link_ids`).  ``active`` restricts the computation to a
         flow subset — exactly as if the oracle were called on the
         sub-list — with inactive flows reported at rate 0.0 (callers
-        ignore those slots).  ``tie_counts`` selects the saturation-scan
-        semantics: ``"live"`` for :func:`~repro.sim.fluid.maxmin_allocate`
-        (counts shrink as the scan fixes flows), ``"frozen"`` for
-        ``FlowNetwork._solve_component`` (the scan tests the counts
-        captured at round start).
+        ignore those slots).
         """
-        if tie_counts not in ("live", "frozen"):
-            raise ValueError(f"unknown tie_counts {tie_counts!r}")
         n_flows, n_links = self.n_flows, self.n_links
         rates = np.zeros(n_flows, dtype=np.float64)
         if active is None:
@@ -185,7 +174,7 @@ class RouteIncidence:
         rows, cols = self.flow_rows, self.flow_cols
         residual = capacities.astype(np.float64, copy=True)
         counts: IntArray = np.bincount(cols[unfixed[rows]], minlength=n_links)
-        scan_rank = self._scan_rank(unfixed) if tie_counts == "live" else None
+        scan_rank = self._scan_rank(unfixed)
         shares = np.empty(n_links, dtype=np.float64)
         while True:
             in_play = counts > 0
@@ -200,13 +189,7 @@ class RouteIncidence:
                 break
             tol = bottleneck * (1.0 + 1e-12)
             candidates = in_play & (shares <= tol)
-            if scan_rank is None:
-                # frozen-count semantics: every candidate saturates
-                touch = np.zeros(n_flows, dtype=bool)
-                touch[rows[candidates[cols]]] = True
-                newly = touch & unfixed
-            else:
-                newly = self._live_scan(candidates, unfixed, residual, tol, scan_rank)
+            newly = self._live_scan(candidates, unfixed, residual, tol, scan_rank)
             rates[newly] = bottleneck
             # per-link subtraction multiplicity: how many times the
             # oracle's per-flow loop hits each link this round
@@ -248,7 +231,7 @@ class RouteIncidence:
         """The oracle's sequential saturation scan over the candidates.
 
         Counts only shrink while the scan fixes flows, so shares only
-        grow: links outside the frozen-count candidate set can never
+        grow: links outside the round-start candidate set can never
         saturate mid-round, and the scan needs to replay *only* the
         candidates (usually a handful), in first-touch order, testing
         the live count exactly as the oracle does.
@@ -271,21 +254,3 @@ class RouteIncidence:
         unfixed |= before
         return newly
 
-
-def maxmin_allocate_vec(
-    capacities: dict[int, float],
-    routes: list[tuple[int, ...]],
-) -> list[float]:
-    """Drop-in vectorized equivalent of ``fluid.maxmin_allocate``.
-
-    Builds the incidence, solves, and returns plain Python floats.
-    Exists mostly as the oracle-pinning surface for the property tests;
-    hot paths build a :class:`RouteIncidence` once and call
-    :meth:`RouteIncidence.solve` with varying capacities.
-    """
-    inc = RouteIncidence(routes)
-    caps = np.asarray(
-        [capacities[link] for link in inc.link_ids], dtype=np.float64
-    )
-    out: list[float] = inc.solve(caps).tolist()
-    return out

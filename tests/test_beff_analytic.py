@@ -3,11 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.beff.analytic import RoundModel, _capped_maxmin
+from repro.beff.analytic import RoundModel
 from repro.beff.patterns import CommPattern
 from repro.net import Fabric, NetParams
 from repro.sim import Simulator
-from repro.sim.fluid import maxmin_allocate
+from repro.sim.oracle import capped_maxmin, maxmin_allocate
 from repro.topology import Crossbar, Torus
 from repro.util import MB
 
@@ -60,12 +60,12 @@ class TestMaxminAllocate:
 
     def test_capped_flow_releases_bandwidth(self):
         # two flows on a 10-link; one capped at 2 -> the other gets 8
-        rates = _capped_maxmin({0: 10.0}, [(0,), (0,)], [2.0, None])
+        rates = capped_maxmin({0: 10.0}, [(0,), (0,)], [2.0, None])
         assert rates[0] == pytest.approx(2.0)
         assert rates[1] == pytest.approx(8.0)
 
     def test_cap_above_share_inactive(self):
-        rates = _capped_maxmin({0: 10.0}, [(0,), (0,)], [100.0, None])
+        rates = capped_maxmin({0: 10.0}, [(0,), (0,)], [100.0, None])
         assert rates == [pytest.approx(5.0), pytest.approx(5.0)]
 
 

@@ -16,6 +16,8 @@ import pytest
 from repro.devtools.lint import (
     DEFAULT_BASELINE,
     RULES,
+    Baseline,
+    BaselineFormatError,
     LintViolation,
     apply_baseline,
     lint_paths,
@@ -451,11 +453,12 @@ def test_apply_baseline_forgives_up_to_the_recorded_count():
         _violation("a.py", "REPRO001", line=9),
         _violation("b.py", "REPRO003", line=2),
     ]
-    fresh, suppressed = apply_baseline(violations, {"a.py::REPRO001": 1})
+    baseline = Baseline(v2={("REPRO001", "", ""): 1})
+    fresh, suppressed = apply_baseline(violations, baseline)
     assert suppressed == 1
     # the earliest line is forgiven first; the later one is new debt
     assert [(v.path, v.line) for v in fresh] == [("a.py", 9), ("b.py", 2)]
-    fresh, suppressed = apply_baseline(violations, {})
+    fresh, suppressed = apply_baseline(violations, Baseline())
     assert (len(fresh), suppressed) == (3, 0)
 
 
@@ -464,7 +467,6 @@ def test_baseline_round_trip(tmp_path):
     write_baseline(target, [_violation("a.py", "REPRO001")] * 2)
     loaded = load_baseline(target)
     assert loaded.v2 == {("REPRO001", "", ""): 2}
-    assert not loaded.legacy
     data = json.loads(target.read_text())
     assert data["version"] == 2
     assert data["entries"] == [
@@ -472,7 +474,7 @@ def test_baseline_round_trip(tmp_path):
          "reason": ""}
     ]
     missing = load_baseline(tmp_path / "missing.json")
-    assert missing.v2 == {} and missing.v1 == {}
+    assert missing.v2 == {}
 
 
 def test_baseline_v2_keys_on_qualname_and_stmt(tmp_path):
@@ -502,17 +504,16 @@ def test_baseline_write_preserves_prior_reasons(tmp_path):
     )
 
 
-def test_baseline_v1_reader_still_applies(tmp_path, capsys):
-    """Legacy per-file baselines load with a deprecation note."""
+def test_baseline_v1_is_refused(tmp_path, capsys):
+    """A version-1 or version-less baseline is never silently applied."""
     target = tmp_path / "baseline.json"
-    target.write_text(json.dumps(
-        {"version": 1, "entries": {"a.py::REPRO001": 1}}
-    ))
-    loaded = load_baseline(target)
-    assert loaded.legacy and loaded.v1 == {"a.py::REPRO001": 1}
-    assert "deprecated" in capsys.readouterr().err
-    fresh, suppressed = apply_baseline([_violation("a.py", "REPRO001")], loaded)
-    assert (fresh, suppressed) == ([], 1)
+    for payload in ({"version": 1, "entries": {}}, {"a.py::REPRO001": 1}):
+        target.write_text(json.dumps(payload))
+        with pytest.raises(BaselineFormatError, match="--write-baseline"):
+            load_baseline(target)
+        assert main([str(tmp_path), "--baseline", str(target)]) == 2
+        [refusal] = capsys.readouterr().err.splitlines()
+        assert refusal.startswith("repro-lint: ") and "--write-baseline" in refusal
 
 
 # -- CLI ----------------------------------------------------------------
@@ -562,7 +563,6 @@ def test_repository_is_lint_clean():
     from repro.devtools.lint import run_engine
 
     baseline = load_baseline(DEFAULT_BASELINE)
-    assert not baseline.legacy
     assert {(rule, qualname) for rule, qualname, _ in baseline.v2} == {
         ("REPRO014", "repro.runtime.store.RunStore._quarantine"),
         ("REPRO014", "repro.runtime.store.RunStore._touch"),

@@ -3,9 +3,11 @@
 The incremental :class:`FlowNetwork` batches same-instant membership
 changes and re-solves only the affected link component with a
 count-based progressive-filling solver.  These tests pin it to the
-pure :func:`maxmin_allocate` oracle and to the ``reference`` engine
-mode (the seed's full-recompute path) on randomized link/route sets,
-including rate-capped private links and empty routes.
+pure :func:`maxmin_allocate` oracle — ``float.hex``-exactly per
+component, on both sides of the scalar/kernel dispatch threshold — and
+to the ``reference`` engine mode (the seed's full-recompute path) on
+randomized link/route sets, including rate-capped private links and
+empty routes.
 """
 
 import math
@@ -13,7 +15,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import FlowNetwork, Process, Simulator, Sleep, maxmin_allocate
+from repro.sim import FlowNetwork, Process, Simulator, Sleep
+from repro.sim.fluid import _VEC_FLOWS
+from repro.sim.oracle import maxmin_allocate
 
 #: a small fixed link pool: three shared links of uneven capacity
 CAPACITIES = (7.0, 11.0, 3.0)
@@ -157,3 +161,71 @@ class TestAllocationMatchesOracle:
         # component cost nothing
         assert net.allocations == 3
         assert net.flows_solved == 2 + 2 + 1
+
+
+
+def _engine_and_oracle(capacities, routes, caps):
+    """Start every flow at one instant as one component; return the
+    engine's and the oracle's rates as ``float.hex`` lists."""
+    sim = Simulator()
+    net = FlowNetwork(sim)
+    links = [net.add_link(capacities[link]) for link in range(len(capacities))]
+    for route, cap in zip(routes, caps):
+        net.start_flow([links[link] for link in route], 1e9, rate_cap=cap)
+    rates = net.current_rates()
+    assert (net.allocations, net.flows_solved) == (1, len(routes))
+    flows = [net._flows[fid] for fid in sorted(rates)]
+    all_caps = {link: net.link(link).capacity for link in range(net.num_links)}
+    oracle = maxmin_allocate(all_caps, [flow.route for flow in flows])
+    return [rates[flow.flow_id].hex() for flow in flows], [r.hex() for r in oracle]
+
+
+#: tie-heavy capacities: equal values force equal shares, the regime
+#: where the saturation scan's live counts decide the last bits
+_TIE_CAPACITY = st.sampled_from([0.5, 1.0, 2.0, 3.0])
+
+
+@st.composite
+def _component(draw, n_flows):
+    """``n_flows`` routes (and optional rate caps) forming one component."""
+    n_links = draw(st.integers(min_value=2, max_value=max(3, n_flows // 4)))
+    capacities = {link: draw(_TIE_CAPACITY) for link in range(n_links)}
+    routes, touched = [], [0]
+    for _ in range(n_flows):
+        # each flow crosses a link an earlier flow touched: one component
+        extra = draw(st.lists(st.integers(0, n_links - 1), max_size=2))
+        routes.append((draw(st.sampled_from(touched)), *extra))
+        touched = sorted(set(touched).union(extra))
+    maybe_cap = st.one_of(st.none(), _TIE_CAPACITY)
+    caps = draw(st.lists(maybe_cap, min_size=n_flows, max_size=n_flows))
+    return capacities, routes, caps
+
+
+class TestComponentMatchesOracleExactly:
+    """One component's allocation is the oracle's, bit for bit, whether
+    the scalar loop (below ``_VEC_FLOWS``) or the CSR kernel solves it."""
+
+    def test_live_count_tie_case(self):
+        # fixing flow 0 at link 2's share leaves link 1 with one live
+        # member fewer; the oracle rechecks link 1 with the live count
+        engine, oracle = _engine_and_oracle(
+            {0: 3.0, 1: 2.0, 2: 2.0}, [(2,), (1, 0), (0, 1, 2), (2, 1)], [None] * 4
+        )
+        assert engine == oracle
+        assert engine[1] == "0x1.5555555555557p-1"
+
+    @pytest.mark.parametrize("n_flows", [4, _VEC_FLOWS - 1, _VEC_FLOWS, _VEC_FLOWS + 1])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_current_rates_equal_oracle(self, n_flows, data):
+        engine, oracle = _engine_and_oracle(*data.draw(_component(n_flows)))
+        assert engine == oracle
+
+
+@pytest.mark.parametrize("mode", ["incremental", "reference"])
+def test_retired_cap_links_leave_link_bytes(mode):
+    """A retired flow's private cap link is not kept in ``link_bytes``."""
+    _, net = _drive(mode, [([0], 5.0, 0.5 * k, 4.0) for k in range(8)])
+    assert net.flows_completed == 8
+    assert set(net.link_bytes) <= set(net.link_ids())
+    assert net.link_bytes[0] == pytest.approx(40.0)

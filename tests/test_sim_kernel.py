@@ -1,15 +1,13 @@
-"""The vectorized max-min kernel vs its Python oracles: bit-identity.
+"""The vectorized max-min kernel vs its scalar oracle: bit-identity.
 
-:mod:`repro.sim.kernel` replaces two scalar solvers on the hot paths —
-:func:`repro.sim.fluid.maxmin_allocate` (``tie_counts="live"``) and
-``FlowNetwork._solve_component``'s in-place variant
-(``tie_counts="frozen"``) — and the whole design rests on the
-replacement being ``float.hex``-exact, not approximately equal.  These
-properties drive randomized capacities and route structures (empty
-routes, singleton links, duplicate links within a route, degenerate
-equal-share ties) through both implementations and require identical
-bits, including under a shuffled event-tie order for the full
-FlowNetwork dispatch.
+:mod:`repro.sim.kernel` computes :func:`repro.sim.oracle.maxmin_allocate`
+on the hot paths — large ``FlowNetwork`` components and the analytic
+round model — and the whole design rests on the replacement being
+``float.hex``-exact, not approximately equal.  These properties drive
+randomized capacities and route structures (empty routes, singleton
+links, duplicate links within a route, degenerate equal-share ties)
+through both implementations and require identical bits, including
+under a shuffled event-tie order for the full FlowNetwork dispatch.
 """
 
 from __future__ import annotations
@@ -17,16 +15,15 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.beff.analytic import _capped_maxmin, _capped_maxmin_inc
+from repro.beff.analytic import _capped_maxmin_inc
 from repro.devtools.sanitizer import sanitized
 from repro.net import Fabric, NetParams
 from repro.sim import Simulator
-from repro.sim.fluid import maxmin_allocate
-from repro.sim.kernel import RouteIncidence, maxmin_allocate_vec
+from repro.sim.kernel import RouteIncidence
+from repro.sim.oracle import capped_maxmin, maxmin_allocate
 from repro.topology import Torus
 from repro.util import MB
 
@@ -35,54 +32,17 @@ def _hex(values):
     return ["inf" if math.isinf(v) else float(v).hex() for v in values]
 
 
-def _solve_component_oracle(capacities, routes):
-    """Transliteration of ``FlowNetwork._solve_component``'s scalar loop
-    (frozen-count saturation scan) over flow indices 0..n-1."""
-    residual: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    members: dict[int, dict[int, None]] = {}
-    for fid, route in enumerate(routes):
-        for link_id in route:
-            if link_id in residual:
-                counts[link_id] += 1
-            else:
-                residual[link_id] = capacities[link_id]
-                counts[link_id] = 1
-            members.setdefault(link_id, {})[fid] = None
-    rates: dict[int, float] = {}
-    unfixed = dict.fromkeys(range(len(routes)))
-    while unfixed:
-        bottleneck = math.inf
-        for link_id, count in counts.items():
-            if count == 0:
-                continue
-            share = residual[link_id] / count
-            if share < bottleneck:
-                bottleneck = share
-        if math.isinf(bottleneck):
-            for fid in unfixed:
-                rates[fid] = math.inf
-            break
-        tol = bottleneck * (1.0 + 1e-12)
-        newly_fixed = []
-        for link_id, count in counts.items():
-            if count == 0:
-                continue
-            if residual[link_id] / count <= tol:
-                for fid in members[link_id]:
-                    if fid in unfixed:
-                        newly_fixed.append(fid)
-                        del unfixed[fid]
-        for fid in newly_fixed:
-            rates[fid] = bottleneck
-            for link_id in routes[fid]:
-                residual[link_id] = max(0.0, residual[link_id] - bottleneck)
-                counts[link_id] -= 1
-    return [rates[f] for f in range(len(routes))]
+def _solve(capacities, routes):
+    """The kernel on a fresh incidence, as plain Python floats."""
+    incidence = RouteIncidence(routes)
+    caps = np.asarray(
+        [capacities[link] for link in incidence.link_ids], dtype=np.float64
+    )
+    return incidence.solve(caps).tolist()
 
 
 # tie-heavy capacity pools: identical values force equal shares, the
-# regime where the two oracles' scan orders actually matter
+# regime where the live-count tie scan actually matters
 _CAPACITY = st.one_of(
     st.sampled_from([0.001, 0.002, 1.0]),
     st.floats(min_value=1e-4, max_value=10.0, allow_nan=False),
@@ -115,7 +75,7 @@ class TestLiveSemantics:
     def test_matches_maxmin_allocate(self, problem):
         capacities, routes = problem
         ref = maxmin_allocate(dict(capacities), routes)
-        vec = maxmin_allocate_vec(capacities, routes)
+        vec = _solve(capacities, routes)
         assert _hex(vec) == _hex(ref)
 
     @settings(max_examples=100, deadline=None)
@@ -140,35 +100,16 @@ class TestLiveSemantics:
         assert _hex(picked) == _hex(ref)
 
     def test_empty_routes_get_infinite_rate(self):
-        rates = maxmin_allocate_vec({0: 1.0}, [(), (0,), ()])
+        rates = _solve({0: 1.0}, [(), (0,), ()])
         assert math.isinf(rates[0]) and math.isinf(rates[2])
         assert rates[1] == 1.0
 
     def test_singleton_link_shared_equally(self):
-        rates = maxmin_allocate_vec({7: 3.0}, [(7,), (7,), (7,)])
+        rates = _solve({7: 3.0}, [(7,), (7,), (7,)])
         assert _hex(rates) == _hex([1.0, 1.0, 1.0])
 
     def test_no_flows(self):
-        assert maxmin_allocate_vec({0: 1.0}, []) == []
-
-
-class TestFrozenSemantics:
-    @settings(max_examples=200, deadline=None)
-    @given(problem=_problems(min_flows=1))
-    def test_matches_solve_component(self, problem):
-        capacities, routes = problem
-        ref = _solve_component_oracle(capacities, routes)
-        incidence = RouteIncidence(routes)
-        caps = np.asarray(
-            [capacities[link] for link in incidence.link_ids], dtype=np.float64
-        )
-        vec = incidence.solve(caps, tie_counts="frozen").tolist()
-        assert _hex(vec) == _hex(ref)
-
-    def test_unknown_tie_counts_rejected(self):
-        incidence = RouteIncidence([(0,)])
-        with pytest.raises(ValueError, match="tie_counts"):
-            incidence.solve(np.asarray([1.0]), tie_counts="eager")
+        assert _solve({0: 1.0}, []) == []
 
 
 class TestCappedMaxminPlanPath:
@@ -183,7 +124,7 @@ class TestCappedMaxminPlanPath:
             )
             for _ in routes
         ]
-        ref = _capped_maxmin(dict(capacities), routes, caps)
+        ref = capped_maxmin(dict(capacities), routes, caps)
         incidence = RouteIncidence(routes)
         cap_arr = np.asarray(
             [capacities[link] for link in incidence.link_ids], dtype=np.float64
@@ -213,7 +154,7 @@ class TestIncidenceStructure:
         # a flow crossing the same link twice halves its share there,
         # exactly as the oracle counts it
         ref = maxmin_allocate({0: 1.0}, [(0, 0), (0,)])
-        vec = maxmin_allocate_vec({0: 1.0}, [(0, 0), (0,)])
+        vec = _solve({0: 1.0}, [(0, 0), (0,)])
         assert _hex(vec) == _hex(ref)
 
 

@@ -178,6 +178,18 @@ class Endpoint:
         tag: int,
         data: object = None,
     ) -> Request:
+        """Post a send; the returned request completes per the protocol.
+
+        An eager send completes locally after the route's nominal
+        :meth:`Fabric.startup_latency`, *not* the fault- and
+        jitter-adjusted latency :meth:`Fabric.transfer_event` charges
+        the wire.  This is intended: local completion models the
+        sender's buffer handoff, which a slow or noisy network (or a
+        straggling receiver) does not delay, and leaving it unadjusted
+        keeps every jitter and fault stream at one draw per message.
+        So under jitter or a straggler fault the eager send completes
+        at the unadjusted latency while its arrival moves.
+        """
         if nbytes < 0:
             raise MpiError(f"negative message size {nbytes}")
         if tag < 0:
@@ -192,7 +204,7 @@ class Endpoint:
             arrival = fabric.transfer_event(world_src, world_dst, nbytes)
             # Local completion: the eager buffer handoff costs the
             # startup latency, then the sender may proceed.
-            route = fabric.topology.route(world_src, world_dst)
+            route = fabric.route(world_src, world_dst)
             sim.schedule(fabric.startup_latency(route), lambda: send_done.trigger(None))
             record = _SendRecord(
                 src=comm_src, tag=tag, nbytes=nbytes, data=data,
@@ -200,7 +212,7 @@ class Endpoint:
             )
         else:
             arrival = SimEvent(sim, name=f"rndv:{world_src}->{world_dst}t{tag}")
-            route = fabric.topology.route(world_src, world_dst)
+            route = fabric.route(world_src, world_dst)
 
             def start_transfer() -> None:
                 delay = fabric.rendezvous_delay(route)

@@ -48,6 +48,9 @@ TIE_SHUFFLE_ENV = "REPRO_TIE_SHUFFLE"
 
 _MASK64 = (1 << 64) - 1
 
+#: an opaque handle for :meth:`Simulator.cancel` — the event's heap entry
+EventHandle = list[Any]
+
 
 def _mix64(seed: int, seq: int) -> int:
     """SplitMix64-style avalanche of (seed, seq) — a deterministic,
@@ -81,20 +84,18 @@ class Simulator:
     clock.
     """
 
-    __slots__ = ("_now", "_seq", "_heap", "_live", "processes",
+    __slots__ = ("_now", "_seq", "_heap", "processes",
                  "_tie_seed", "_recorder")
 
     def __init__(self) -> None:
         self._now = 0.0
         self._seq = 0
         #: heap entries are mutable [time, lane, tie_key, seq, callback]
-        #: quintuples so a cancellation can null the callback in place;
-        #: ``_live`` maps a pending handle to its entry and is the
-        #: *only* per-handle state, so firing or cancelling a handle
-        #: leaves nothing behind (the seed kept cancelled seqs in a set
-        #: forever when the handle had already fired).
-        self._heap: list[list[Any]] = []
-        self._live: dict[int, list[Any]] = {}
+        #: quintuples.  An entry is its own cancellation handle: cancel
+        #: nulls the callback in place and firing does the same, so the
+        #: heap is the only per-event state and a handle that fired or
+        #: was cancelled leaves nothing behind.
+        self._heap: list[EventHandle] = []
         #: live processes registered by :class:`repro.sim.process.Process`
         self.processes: list[Any] = []
         #: sanitizer state: None = plain FIFO tie-breaking (tie_key == seq)
@@ -131,16 +132,15 @@ class Simulator:
         """Current virtual time in seconds."""
         return self._now
 
-    def _push(self, time: float, callback: Callable[[], None], lane: int = 0) -> int:
+    def _push(self, time: float, callback: Callable[[], None], lane: int = 0) -> EventHandle:
         self._seq += 1
         seq = self._seq
         key = seq if self._tie_seed is None else _mix64(self._tie_seed, seq)
-        entry: list[Any] = [time, lane, key, seq, callback]
+        entry: EventHandle = [time, lane, key, seq, callback]
         heapq.heappush(self._heap, entry)
-        self._live[seq] = entry
-        return seq
+        return entry
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> int:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
         """Run ``callback`` after ``delay`` seconds of virtual time.
 
         Returns a handle usable with :meth:`cancel`.  Negative delays
@@ -150,11 +150,11 @@ class Simulator:
             raise ValueError(f"cannot schedule into the past (delay={delay!r})")
         return self._push(self._now + delay, callback)
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> int:
+    def schedule_at(self, time: float, callback: Callable[[], None]) -> EventHandle:
         """Run ``callback`` at absolute virtual ``time`` (>= now)."""
         return self.schedule(time - self._now, callback)
 
-    def schedule_abs(self, time: float, callback: Callable[[], None]) -> int:
+    def schedule_abs(self, time: float, callback: Callable[[], None]) -> EventHandle:
         """Run ``callback`` at *exactly* the absolute float ``time``.
 
         Unlike :meth:`schedule_at` — which round-trips through a delay
@@ -169,7 +169,7 @@ class Simulator:
             )
         return self._push(time, callback)
 
-    def schedule_tail(self, callback: Callable[[], None]) -> int:
+    def schedule_tail(self, callback: Callable[[], None]) -> EventHandle:
         """Run ``callback`` at the *tail* of the current instant.
 
         The callback fires at the current virtual time, but only after
@@ -183,11 +183,9 @@ class Simulator:
         """
         return self._push(self._now, callback, lane=1)
 
-    def cancel(self, handle: int) -> None:
+    def cancel(self, handle: EventHandle) -> None:
         """Cancel a previously scheduled event (no-op if already fired)."""
-        entry = self._live.pop(handle, None)
-        if entry is not None:
-            entry[4] = None
+        handle[4] = None
 
     def peek(self) -> float | None:
         """Time of the next pending event, or None if the queue is empty."""
@@ -199,36 +197,39 @@ class Simulator:
 
     def step(self) -> bool:
         """Execute the next event.  Returns False if the queue is empty."""
-        while self._heap:
-            time, _lane, _key, seq, callback = heapq.heappop(self._heap)
-            if callback is None:
-                continue
-            del self._live[seq]
-            self._now = time
-            if self._recorder is not None:
-                self._recorder(time, seq, callback)
-            callback()
-            return True
-        return False
+        if self.peek() is None:
+            return False
+        self.run(max_events=1)
+        return True
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run events until the queue drains (or ``until`` / ``max_events``).
 
         With ``until``, the clock is advanced to exactly ``until`` even
         if the last event is earlier, matching the convention of other
-        DES kernels.
+        DES kernels.  ``max_events`` counts executed events only:
+        cancelled entries are dropped without using up the budget.
         """
+        heap = self._heap
+        pop = heapq.heappop
+        recorder = self._recorder
         count = 0
-        while True:
+        while heap:
             if max_events is not None and count >= max_events:
                 return
-            nxt = self.peek()
-            if nxt is None:
-                break
-            if until is not None and nxt > until:
+            entry = pop(heap)
+            callback = entry[4]
+            if callback is None:
+                continue
+            if until is not None and entry[0] > until:
+                heapq.heappush(heap, entry)  # same key: the heap order is unchanged
                 self._now = until
                 return
-            self.step()
+            entry[4] = None  # release the callback; a later cancel is a no-op
+            self._now = entry[0]
+            if recorder is not None:
+                recorder(entry[0], entry[3], callback)
+            callback()
             count += 1
         if until is not None and until > self._now:
             self._now = until

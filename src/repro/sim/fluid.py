@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import EventHandle, Simulator
 from repro.sim.kernel import RouteIncidence
 from repro.sim.oracle import maxmin_allocate
 from repro.sim.process import SimEvent
@@ -125,7 +125,6 @@ class FlowNetwork:
         "_bytes_arr",
         "_slots_used",
         "_free_slots",
-        "_retired_bytes",
         "_pending_totals",
         "_dirty_links",
         "_flush_handle",
@@ -145,7 +144,7 @@ class FlowNetwork:
         self._flows: dict[int, Flow] = {}
         self._next_flow_id = 0
         self._last_settle = 0.0
-        self._timer: int | None = None
+        self._timer: EventHandle | None = None
         #: statistics: total bytes completed, flow count
         self.bytes_completed = 0.0
         self.flows_completed = 0
@@ -154,30 +153,28 @@ class FlowNetwork:
         self._link_bytes: dict[int, float] = {}
         #: link id -> {flow_id: None} of flows crossing it (insertion order)
         self._members: dict[int, dict[int, None]] = {}
-        # Incremental-mode settle accounting is slotted: links with a
-        # non-zero aggregate rate occupy a slot in a pair of dense numpy
+        # Incremental-mode settle accounting is slotted: every link that
+        # has carried a flow occupies a slot in a pair of dense numpy
         # arrays so one whole-array `bytes += rate * dt` replaces the
-        # per-link Python loop.  Slots are recycled via a free list
-        # (private per-flow cap links would otherwise grow the arrays
-        # without bound); a link's accumulated bytes are folded into
-        # ``_retired_bytes`` when its slot is released and seeded back
-        # when it re-enters, so the addition chain per link is exactly
-        # the one the dict-based accounting performed.
+        # per-link Python loop.  A public link keeps its slot for the
+        # life of the network (an idle slot has rate 0.0, and settling
+        # it adds an exact 0.0, so the addition chain per link is the
+        # one the dict-based accounting performed).  Private per-flow
+        # cap links never recur, so their slots are recycled via a
+        # free list; otherwise they would grow the arrays without bound.
         #: link id -> slot index in the rate/bytes arrays
         self._rate_slot: dict[int, int] = {}
         self._rate_arr: np.ndarray = np.zeros(0, dtype=np.float64)
         self._bytes_arr: np.ndarray = np.zeros(0, dtype=np.float64)
         self._slots_used = 0
         self._free_slots: list[int] = []
-        #: bytes carried by links whose slot has been released
-        self._retired_bytes: dict[int, float] = {}
         #: per-link aggregate rates handed from the vectorized solver
         #: to the same flush (avoids re-summing member rates in Python)
         self._pending_totals: dict[int, float] | None = None
         #: links whose membership changed since the last flush
         self._dirty_links: set[int] = set()
         #: pending zero-delay allocation flush (batches same-instant changes)
-        self._flush_handle: int | None = None
+        self._flush_handle: EventHandle | None = None
         #: lazy min-heap of (finish_time, flow_id); stale entries skipped
         self._finish_heap: list[tuple[float, int]] = []
         #: observability: solver invocations and flows re-solved
@@ -217,7 +214,7 @@ class FlowNetwork:
         else:
             self._settle()
             link.capacity = capacity
-            self._reallocate_reference()
+            self._reallocate_reference((link_id,))
 
     def link_ids(self) -> list[int]:
         """All public (non-private-cap) link ids, ascending."""
@@ -244,20 +241,20 @@ class FlowNetwork:
 
     @property
     def link_bytes(self) -> dict[int, float]:
-        """Bytes carried per link (hot-link analysis).
+        """Bytes carried per link (hot-link analysis), by ascending link id.
 
         A private cap link's count is dropped when its flow retires, so
         the keys are public links plus the caps of active flows.
-        Reference mode returns the live accounting dict; incremental
-        mode materializes the same totals from the slotted arrays plus
-        the retired-slot carryover.
+        Reference mode copies its accounting dict; incremental mode
+        materializes the same totals from the slotted arrays.
         """
         if not self._incremental:
-            return self._link_bytes
-        out = dict(self._retired_bytes)
+            return dict(sorted(self._link_bytes.items()))
         barr = self._bytes_arr
-        for link_id, slot in self._rate_slot.items():
-            carried = float(barr[slot])
+        slot_of = self._rate_slot
+        out: dict[int, float] = {}
+        for link_id in sorted(slot_of):
+            carried = float(barr[slot_of[link_id]])
             if carried != 0.0:
                 out[link_id] = carried
         return out
@@ -265,36 +262,28 @@ class FlowNetwork:
     # -- slotted rate/byte accounting (incremental mode) -----------------
 
     def _slot_for(self, link_id: int) -> int:
-        """Slot of ``link_id``, allocating (and seeding) one if needed."""
-        slot = self._rate_slot.get(link_id)
-        if slot is None:
-            free = self._free_slots
-            if free:
-                slot = free.pop()
-            else:
-                slot = self._slots_used
-                if slot == len(self._rate_arr):
-                    cap = max(64, 2 * len(self._rate_arr))
-                    for name in ("_rate_arr", "_bytes_arr"):
-                        old = getattr(self, name)
-                        grown = np.zeros(cap, dtype=np.float64)
-                        grown[: len(old)] = old
-                        setattr(self, name, grown)
-                self._slots_used += 1
-            self._rate_slot[link_id] = slot
-            self._rate_arr[slot] = 0.0
-            # continue this link's accumulation chain bit-exactly
-            self._bytes_arr[slot] = self._retired_bytes.pop(link_id, 0.0)
+        """Allocate a zeroed slot for ``link_id``, which has none yet."""
+        free = self._free_slots
+        if free:
+            slot = free.pop()
+        else:
+            slot = self._slots_used
+            if slot == len(self._rate_arr):
+                cap = max(64, 2 * len(self._rate_arr))
+                for name in ("_rate_arr", "_bytes_arr"):
+                    old = getattr(self, name)
+                    grown = np.zeros(cap, dtype=np.float64)
+                    grown[: len(old)] = old
+                    setattr(self, name, grown)
+            self._slots_used += 1
+        self._rate_slot[link_id] = slot
         return slot
 
     def _drop_slot(self, link_id: int) -> None:
-        """Release a link's slot, folding its bytes into the carryover."""
+        """Release a private cap link's slot (and its byte count)."""
         slot = self._rate_slot.pop(link_id, None)
         if slot is None:
             return
-        carried = float(self._bytes_arr[slot])
-        if carried != 0.0:
-            self._retired_bytes[link_id] = carried
         self._rate_arr[slot] = 0.0
         self._bytes_arr[slot] = 0.0
         self._free_slots.append(slot)
@@ -358,7 +347,7 @@ class FlowNetwork:
             # reference solver rebuilds membership from scratch)
             self._settle()
             self._flows[flow.flow_id] = flow
-            self._reallocate_reference()
+            self._reallocate_reference(full_route)
         return event
 
     def current_rates(self) -> dict[int, float]:
@@ -433,11 +422,6 @@ class FlowNetwork:
         self._settle()
         dirty, self._dirty_links = self._dirty_links, set()
         members = self._members
-        if not self._flows:
-            for link_id in list(self._rate_slot):
-                self._drop_slot(link_id)
-            self._arm_timer()
-            return
         # Affected component: BFS links <-> member flows from the dirty set.
         comp_links: list[int] = []
         seen_links: set[int] = set()
@@ -482,14 +466,11 @@ class FlowNetwork:
                     total = pending[link_id]
                 else:
                     total = sum(flows[fid].rate for fid in members[link_id])
-                if total > 0.0:
-                    slot = self._rate_slot.get(link_id)
-                    if slot is None:
-                        slot = self._slot_for(link_id)
-                        rate_arr = self._rate_arr  # may have grown
-                    rate_arr[slot] = total
-                else:  # pragma: no cover - defensive
-                    self._drop_slot(link_id)
+                slot = self._rate_slot.get(link_id)
+                if slot is None:
+                    slot = self._slot_for(link_id)
+                    rate_arr = self._rate_arr  # may have grown
+                rate_arr[slot] = total
         self._arm_timer()
 
     def _solve_component(self, flow_ids: list[int]) -> dict[int, float]:
@@ -596,20 +577,21 @@ class FlowNetwork:
         """Remove a completed flow from all bookkeeping tables."""
         del self._flows[flow.flow_id]
         if self._incremental:
+            members = self._members
             for link_id in flow.route:
-                entry = self._members.get(link_id)
+                entry = members.get(link_id)
                 if entry is not None:
                     entry.pop(flow.flow_id, None)
                     if not entry:
-                        del self._members[link_id]
-                        self._drop_slot(link_id)
+                        # the link goes idle but keeps its slot
+                        del members[link_id]
+                        self._rate_arr[self._rate_slot[link_id]] = 0.0
                 self._dirty_links.add(link_id)
         if flow.private_link is not None:
-            # private ids never recur: drop the cap link's byte count
-            # with it (its slot was just released into the carryover)
+            # private ids never recur: drop the cap link and its byte count
             del self._links[flow.private_link]
             self._dirty_links.discard(flow.private_link)
-            self._retired_bytes.pop(flow.private_link, None)
+            self._drop_slot(flow.private_link)
             self._link_bytes.pop(flow.private_link, None)
         self.bytes_completed += flow.total_bytes
         self.flows_completed += 1
@@ -621,7 +603,7 @@ class FlowNetwork:
         contention results (e.g. which torus links the random
         placement saturates).
         """
-        ranked = sorted(self.link_bytes.items(), key=lambda kv: -kv[1])
+        ranked = sorted(self.link_bytes.items(), key=lambda kv: (-kv[1], kv[0]))
         out: list[tuple[str, float]] = []
         for link_id, nbytes in ranked:
             link = self._links.get(link_id)
@@ -677,8 +659,15 @@ class FlowNetwork:
 
     # -- reference (seed) path -----------------------------------------
 
-    def _reallocate_reference(self) -> None:
-        """Seed behaviour: full-network oracle allocation + flow scan."""
+    def _reallocate_reference(self, touched: tuple[int, ...] = ()) -> None:
+        """Seed behaviour: full-network oracle allocation + flow scan.
+
+        ``touched`` are the links whose membership or capacity just
+        changed.  A flow sharing a link chain with them whose residual
+        is within ``_EPS_BYTES`` finishes now, as the incremental flush
+        finishes it when it re-solves that component.  (After a timer
+        no such residual is left: ``_on_timer`` retires them all.)
+        """
         if self._timer is not None:
             self.sim.cancel(self._timer)
             self._timer = None
@@ -698,14 +687,41 @@ class FlowNetwork:
             flow.rate = rate
 
         # Completion times and the single pending timer.
+        if any(flow.remaining <= _EPS_BYTES for flow in flows):
+            near = self._reference_component(touched)
+        else:
+            near = set()
         now = self.sim.now
         earliest = math.inf
         for flow in self._flows.values():
             if flow.rate <= 0.0:  # pragma: no cover - defensive
                 flow.finish_time = math.inf
                 continue
-            flow.finish_time = now + flow.remaining / flow.rate
+            if flow.remaining <= _EPS_BYTES and flow.flow_id in near:
+                flow.finish_time = now
+            else:
+                flow.finish_time = now + flow.remaining / flow.rate
             if flow.finish_time < earliest:
                 earliest = flow.finish_time
         if not math.isinf(earliest):
             self._timer = self.sim.schedule(earliest - now, self._on_timer)
+
+    def _reference_component(self, touched: tuple[int, ...]) -> set[int]:
+        """Ids of the active flows linked to ``touched`` through shared links."""
+        on_link: dict[int, list[int]] = {}
+        for flow in self._flows.values():
+            for link_id in flow.route:
+                on_link.setdefault(link_id, []).append(flow.flow_id)
+        near: set[int] = set()
+        seen: set[int] = set()
+        stack = list(touched)
+        while stack:
+            link_id = stack.pop()
+            if link_id in seen:
+                continue
+            seen.add(link_id)
+            for fid in on_link.get(link_id, ()):
+                if fid not in near:
+                    near.add(fid)
+                    stack.extend(self._flows[fid].route)
+        return near

@@ -36,6 +36,24 @@ class TestLinkBytes:
         sim.run_to_completion()
         assert net.link_bytes[link] == pytest.approx(100.0)
 
+    @pytest.mark.parametrize("mode", ["incremental", "reference"])
+    def test_tied_links_list_by_link_id(self, mode):
+        # link b carries its flow before link a does, so the accounting
+        # history meets b first; equal byte counts must still list by id
+        sim = Simulator()
+        net = FlowNetwork(sim, mode=mode)
+        a, b = net.add_link(10.0, "a"), net.add_link(10.0, "b")
+
+        def prog():
+            yield net.start_flow([b], 100.0)
+            yield net.start_flow([a], 100.0)
+
+        Process(sim, prog())
+        sim.run_to_completion()
+        assert net.link_bytes[a] == net.link_bytes[b]
+        assert list(net.link_bytes) == [a, b]
+        assert [name for name, _b in net.hottest_links()] == ["a", "b"]
+
     def test_hottest_links_ranked(self):
         sim = Simulator()
         net = FlowNetwork(sim)

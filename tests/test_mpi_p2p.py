@@ -323,3 +323,97 @@ class TestWorldRun:
 
         with pytest.raises(DeadlockError):
             world.run(program)
+
+
+class TestRouteCache:
+    def test_each_pair_is_routed_once(self, monkeypatch):
+        """Repeated sends reuse the fabric's cached route: the topology
+        computes one route per distinct (src, dst) pair, eager and
+        rendezvous alike."""
+        from repro.machines import get_machine
+
+        calls = []
+        fabric = get_machine("t3e").fabric_factory(8)()
+        topo_cls = type(fabric.topology)
+        original = topo_cls.route
+
+        def counted(topo, src, dst):
+            calls.append((src, dst))
+            return original(topo, src, dst)
+
+        monkeypatch.setattr(topo_cls, "route", counted)
+        world = World(fabric)
+        assert 1024 <= fabric.params.eager_threshold < 256 * 1024
+
+        def program(comm):
+            n = comm.size
+            for _ in range(3):
+                for nbytes in (1024, 256 * 1024):
+                    for step in (1, -1):
+                        yield from comm.sendrecv(
+                            (comm.rank + step) % n, nbytes, (comm.rank - step) % n
+                        )
+
+        world.run(program)
+        expected = {(r, (r + s) % 8) for r in range(8) for s in (1, -1)}
+        assert set(calls) == expected
+        assert len(calls) == len(expected)
+
+
+class TestEagerLocalCompletion:
+    """An eager send completes locally after the nominal startup
+    latency; jitter and faults move only the arrival."""
+
+    @staticmethod
+    def _times(fabric, start=0.0):
+        """(send start, send completion, receive completion) of one
+        eager 0 -> 1 message posted at ``start``."""
+        from repro.mpi.core import Endpoint
+        from repro.sim import Process
+
+        endpoint = Endpoint(fabric)
+        out = []
+
+        def prog():
+            if start:
+                yield Sleep(start)
+            t0 = fabric.sim.now
+            rreq = endpoint.irecv(0, 1, 0, 0)
+            sreq = endpoint.isend(0, 0, 1, 0, 1024, 0)
+            yield from sreq.wait()
+            t_send = fabric.sim.now
+            yield from rreq.wait()
+            out.append((t0, t_send, fabric.sim.now))
+
+        Process(fabric.sim, prog())
+        fabric.sim.run_to_completion()
+        return out[0]
+
+    @staticmethod
+    def _fabric(jitter=0.0):
+        return Fabric(
+            Simulator(), Torus((2,), link_bw=100 * MB),
+            NetParams(latency=100e-6, jitter=jitter), jitter_seed=3,
+        )
+
+    def test_jitter_moves_arrival_not_local_completion(self):
+        plain = self._times(self._fabric())
+        fabric = self._fabric(jitter=0.3)
+        t0, t_send, t_recv = self._times(fabric)
+        nominal = fabric.startup_latency(fabric.route(0, 1))
+        assert t_send == t0 + nominal == plain[1]
+        assert t_recv != plain[2]
+
+    def test_straggler_moves_arrival_not_local_completion(self):
+        from repro.faults import FaultInjector, FaultPlan, Straggler
+
+        plain = self._times(self._fabric(), start=1.0)
+        fabric = self._fabric()
+        FaultInjector(FaultPlan(events=(Straggler(1, 0.5, 10.0, 4.0),))).attach(
+            fabric.sim, fabric=fabric
+        )
+        t0, t_send, t_recv = self._times(fabric, start=1.0)
+        nominal = fabric.startup_latency(fabric.route(0, 1))
+        assert t_send == t0 + nominal == plain[1]
+        assert t_recv - t0 >= 4.0 * nominal
+        assert t_recv > plain[2]

@@ -97,15 +97,17 @@ class TestCancel:
         sim.run()
         for h in handles:
             sim.cancel(h)
-        assert sim._live == {}
         assert sim._heap == []
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [2.0]
 
     def test_cancelled_pending_event_is_dropped_when_reached(self):
         sim = Simulator()
         for _ in range(50):
             sim.cancel(sim.schedule(1.0, lambda: None))
         sim.run()
-        assert sim._live == {}
         assert sim._heap == []
 
     def test_double_cancel_is_noop(self):
@@ -114,9 +116,17 @@ class TestCancel:
         h = sim.schedule(1.0, lambda: fired.append(1))
         sim.cancel(h)
         sim.cancel(h)
+        later = sim.schedule(2.0, lambda: fired.append(2))
         sim.run()
-        assert fired == []
-        assert sim._live == {}
+        assert fired == [2]
+        assert sim._heap == []
+        # cancelling handles that already fired or were cancelled must
+        # not touch an event scheduled afterwards
+        sim.cancel(h)
+        sim.cancel(later)
+        sim.schedule(1.0, lambda: fired.append(3))
+        sim.run()
+        assert fired == [2, 3]
 
 
 class TestRunBounds:
@@ -143,6 +153,19 @@ class TestRunBounds:
             sim.schedule(1.0, lambda: fired.append(1))
         sim.run(max_events=3)
         assert len(fired) == 3
+
+        # cancelled entries between live ones do not count against the budget
+        sim = Simulator()
+        fired = []
+        for t in range(1, 8):
+            h = sim.schedule(float(t), lambda t=t: fired.append(t))
+            if t % 2 == 0:
+                sim.cancel(h)
+        sim.run(max_events=3)
+        assert fired == [1, 3, 5]
+        assert sim.now == 5.0
+        sim.run()
+        assert fired == [1, 3, 5, 7]
 
     def test_step_empty_returns_false(self):
         assert Simulator().step() is False

@@ -73,6 +73,21 @@ class TestIncrementalMatchesReference:
                 ref_bytes, rel=1e-9, abs=1e-6
             )
 
+    @pytest.mark.parametrize(
+        "joiner, expect",
+        [
+            # shares link 0: the re-solve finishes the 1e-5-byte residuals now
+            (([0], 1.0, 0.99999, None), 0.99999),
+            # disjoint private cap link: the residuals run out on their own
+            (([], 1.0, 0.99999, 1.0), 1.0),
+        ],
+    )
+    def test_residual_within_eps_when_a_flow_joins(self, joiner, expect):
+        specs = [([0, 1, 2], 1.0, 0.0, None)] * 3 + [joiner]
+        for mode in ("incremental", "reference"):
+            finishes, _ = _drive(mode, specs)
+            assert [finishes[i] for i in range(3)] == [expect] * 3, mode
+
 
 class TestAllocationMatchesOracle:
     @settings(max_examples=40, deadline=None)
@@ -229,3 +244,54 @@ def test_retired_cap_links_leave_link_bytes(mode):
     assert net.flows_completed == 8
     assert set(net.link_bytes) <= set(net.link_ids())
     assert net.link_bytes[0] == pytest.approx(40.0)
+
+
+def _capped_rounds(mode, n_links=6, rounds=4, per_round=12, gap=1000.0):
+    """Rate-capped flows in rounds separated by idle gaps.
+
+    Returns (net, public links touched, peak concurrent flows, whether
+    the network was empty at every gap).
+    """
+    sim = Simulator()
+    net = FlowNetwork(sim, mode=mode)
+    links = [net.add_link(5.0 + 3.0 * i, f"l{i}") for i in range(n_links)]
+    touched: set[int] = set()
+    peak = [0]
+    idle = []
+
+    def flow(route, nbytes, start, cap):
+        yield Sleep(start)
+        event = net.start_flow(route, nbytes, rate_cap=cap)
+        peak[0] = max(peak[0], net.active_flows)
+        yield event
+
+    def watcher():
+        for r in range(1, rounds):
+            yield Sleep(gap * r - 1.0 - sim.now)
+            idle.append(net.active_flows == 0)
+
+    for r in range(rounds):
+        for k in range(per_round):
+            route = [links[(r + k + j) % n_links] for j in range(1 + k % 3)]
+            touched.update(route)
+            Process(sim, flow(route, 50.0 + 7.0 * k, gap * r + 0.1 * k, 2.0 + k % 4))
+    Process(sim, watcher())
+    sim.run_to_completion()
+    return net, touched, peak[0], all(idle) and len(idle) == rounds - 1
+
+
+def test_slot_arrays_stay_bounded_across_idle_gaps():
+    """Public links keep resident slots and private caps recycle theirs,
+    so the slot arrays never outgrow (public links + concurrent flows),
+    and byte counts carry across idle gaps."""
+    net, touched, peak, emptied = _capped_rounds("incremental")
+    ref, _, _, _ = _capped_rounds("reference")
+    assert emptied
+    assert net.flows_completed == ref.flows_completed == 48
+    assert net._slots_used <= len(touched) + peak
+    inc_bytes, ref_bytes = net.link_bytes, ref.link_bytes
+    for link_id in net.link_ids():
+        assert inc_bytes.get(link_id, 0.0) == pytest.approx(
+            ref_bytes.get(link_id, 0.0), rel=1e-9, abs=1e-6
+        )
+    assert set(inc_bytes) == set(touched)

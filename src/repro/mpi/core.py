@@ -197,7 +197,7 @@ class Endpoint:
             pass
         sim = self.sim
         fabric = self.fabric
-        send_done = SimEvent(sim, name=f"send:{world_src}->{world_dst}t{tag}")
+        send_done = SimEvent(sim, name=("send:{}->{}t{}", world_src, world_dst, tag))
         request = Request("send", send_done)
 
         if fabric.is_eager(nbytes):
@@ -211,7 +211,7 @@ class Endpoint:
                 arrival=arrival, request=request,
             )
         else:
-            arrival = SimEvent(sim, name=f"rndv:{world_src}->{world_dst}t{tag}")
+            arrival = SimEvent(sim, name=("rndv:{}->{}t{}", world_src, world_dst, tag))
             route = fabric.route(world_src, world_dst)
 
             def start_transfer() -> None:
@@ -240,7 +240,7 @@ class Endpoint:
         tag: int,
         capacity: int | None = None,
     ) -> Request:
-        event = SimEvent(self.sim, name=f"recv:{world_dst}<-{comm_src}t{tag}")
+        event = SimEvent(self.sim, name=("recv:{}<-{}t{}", world_dst, comm_src, tag))
         request = Request("recv", event)
         record = _RecvRecord(src=comm_src, tag=tag, capacity=capacity, request=request)
         self._matcher(context, world_dst).post(record)

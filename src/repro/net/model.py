@@ -154,13 +154,15 @@ class Fabric:
         """Start a transfer *now*; the returned event fires on arrival.
 
         The event triggers after startup latency plus the fluid
-        bandwidth phase.  Rendezvous handshakes are the p2p layer's
-        job (they need receiver state); this method only moves bytes.
+        bandwidth phase; a zero-byte message has no bandwidth phase
+        and starts no flow, so it arrives at exactly the latency.
+        Rendezvous handshakes are the p2p layer's job (they need
+        receiver state); this method only moves bytes.
         """
         if nbytes < 0:
             raise ValueError(f"negative message size: {nbytes!r}")
         route = self.route(src, dst)
-        done = SimEvent(self.sim, name=f"xfer:{src}->{dst}:{nbytes}")
+        done = SimEvent(self.sim, name=("xfer:{}->{}:{}", src, dst, nbytes))
         latency = self.startup_latency(route)
         if self.faults is not None:
             latency = self.faults.adjust_latency(src, dst, latency)
@@ -171,6 +173,9 @@ class Fabric:
             self.tracer.record(self.sim.now, "msg", src, dst, nbytes)
 
         def begin_flow() -> None:
+            if nbytes == 0:
+                done.trigger(self.sim.now)
+                return
             flow_done = self.flows.start_flow(
                 list(route.links), nbytes, rate_cap=self.rate_cap_for(route)
             )

@@ -310,7 +310,7 @@ class FlowNetwork:
         """
         if nbytes < 0:
             raise ValueError(f"negative flow size: {nbytes!r}")
-        event = SimEvent(self.sim, name=f"flow{self._next_flow_id}")
+        event = SimEvent(self.sim, name=("flow{}", self._next_flow_id))
         if nbytes == 0 or (not route and rate_cap is None):
             self.sim.schedule(0.0, lambda: event.trigger(0.0))
             return event
@@ -458,14 +458,14 @@ class FlowNetwork:
                 else:
                     flow.finish_time = now + flow.remaining / rate
                 heapq.heappush(heap, (flow.finish_time, fid))
-            flows = self._flows
             rate_arr = self._rate_arr
             pending, self._pending_totals = self._pending_totals, None
+            rate_of = rates.__getitem__
             for link_id in comp_links:
                 if pending is not None:
                     total = pending[link_id]
                 else:
-                    total = sum(flows[fid].rate for fid in members[link_id])
+                    total = sum(map(rate_of, members[link_id]))
                 slot = self._rate_slot.get(link_id)
                 if slot is None:
                     slot = self._slot_for(link_id)

@@ -70,17 +70,27 @@ class SimEvent:
     wait-all).
     """
 
-    __slots__ = ("sim", "triggered", "value", "_waiters", "name")
+    __slots__ = ("sim", "triggered", "value", "_waiters", "_name")
 
-    def __init__(self, sim: Simulator, name: str = "") -> None:
+    def __init__(self, sim: Simulator, name: str | tuple[object, ...] = "") -> None:
         self.sim = sim
         self.triggered = False
         self.value: object = None
-        self.name = name
-        self._waiters: list[Process] = []
+        self._name = name
+        self._waiters: list[Process | _CallbackWaiter] = []
+
+    @property
+    def name(self) -> str:
+        """The name given, with a ``(template, *args)`` tuple rendered by
+        ``template.format(*args)`` here, so hot paths never format it."""
+        name = self._name
+        if isinstance(name, str):
+            return name
+        template, *args = name
+        return str(template).format(*args)
 
     def trigger(self, value: object = None) -> None:
-        """Fire the event, resuming all waiters at the current time."""
+        """Fire the event: run glue callbacks now, queue process resumes."""
         if self.triggered:
             raise RuntimeError(f"SimEvent {self.name!r} triggered twice")
         self.triggered = True
@@ -110,28 +120,31 @@ def wait_all(events: Iterable[SimEvent]) -> Generator[SimEvent, object, list[obj
 def on_trigger(event: SimEvent, callback: Callable[[object], object]) -> None:
     """Invoke ``callback(value)`` when ``event`` triggers.
 
-    If the event has already triggered, the callback runs at the
-    current time via the event queue (never synchronously), keeping
-    ordering deterministic.  This is the lightweight alternative to a
-    full Process for glue code that chains events.
+    On a pending event the callback runs synchronously inside
+    :meth:`SimEvent.trigger`, in registration order, at the trigger's
+    virtual time and without an event-queue entry.  On an event that
+    has already triggered it runs at the current time via the event
+    queue.  Either way the order is
+    fixed by the order of triggers, so it is deterministic.  This is
+    the lightweight alternative to a full Process for glue code that
+    chains events.
     """
     if event.triggered:
         event.sim.schedule(0.0, lambda: callback(event.value))
     else:
-        event._waiters.append(_CallbackWaiter(event.sim, callback))
+        event._waiters.append(_CallbackWaiter(callback))
 
 
 class _CallbackWaiter:
     """Adapter giving a plain callable the Process waiter protocol."""
 
-    __slots__ = ("sim", "callback")
+    __slots__ = ("callback",)
 
-    def __init__(self, sim: Simulator, callback: Callable[[object], object]) -> None:
-        self.sim = sim
+    def __init__(self, callback: Callable[[object], object]) -> None:
         self.callback = callback
 
     def _resume_later(self, value: object) -> None:
-        self.sim.schedule(0.0, lambda: self.callback(value))
+        self.callback(value)
 
 
 class Process:

@@ -46,6 +46,13 @@ def _run(mode, shape=(2, 2, 2), tie_shuffle_seed=None, **over):
         return run_beff(torus_factory(shape), MEM, MeasurementConfig(**kwargs))
 
 
+@pytest.fixture(scope="module")
+def reference_run():
+    """The default-shape, all-methods reference run, shared by the tests
+    that compare against it (it is the slowest run in this module)."""
+    return _run("reference")
+
+
 def _identical(fast, ref):
     assert len(fast.records) == len(ref.records)
     for a, b in zip(fast.records, ref.records):
@@ -82,16 +89,14 @@ class TestFastMatchesReference:
         assert fast.ff_reps_skipped >= MIN_SKIP * fast.ff_loops_armed
         assert ref.ff_loops_armed == 0 and ref.ff_reps_skipped == 0
 
-    def test_all_methods_together(self):
+    def test_all_methods_together(self, reference_run):
         fast = _run("fast")
-        ref = _run("reference")
-        _identical(fast, ref)
+        _identical(fast, reference_run)
         assert fast.ff_loops_armed > 0
 
-    def test_bit_identical_under_tie_shuffle(self):
-        baseline = _run("reference")
+    def test_bit_identical_under_tie_shuffle(self, reference_run):
         shuffled_fast = _run("fast", tie_shuffle_seed=7)
-        _identical(shuffled_fast, baseline)
+        _identical(shuffled_fast, reference_run)
         assert shuffled_fast.ff_loops_armed > 0
 
     def test_multiple_repetitions(self):
@@ -110,9 +115,8 @@ class TestForcingAndPlumbing:
         assert res.engine_mode == "des-reference"
         assert res.ff_loops_armed == 0 and res.ff_reps_skipped == 0
 
-    def test_reference_mode_forces_reference(self):
-        res = _run("reference")
-        assert res.engine_mode == "des-reference"
+    def test_reference_mode_forces_reference(self, reference_run):
+        assert reference_run.engine_mode == "des-reference"
 
     def test_analytic_backend_unaffected(self):
         res = run_beff(

@@ -417,3 +417,19 @@ class TestEagerLocalCompletion:
         assert t_send == t0 + nominal == plain[1]
         assert t_recv - t0 >= 4.0 * nominal
         assert t_recv > plain[2]
+
+
+class TestMessageEventNames:
+    def test_send_rendezvous_and_receive_names(self):
+        from repro.mpi.core import Endpoint
+
+        fabric = Fabric(
+            Simulator(), Torus((8,), link_bw=100 * MB),
+            NetParams(latency=10e-6, eager_threshold=1024),
+        )
+        endpoint = Endpoint(fabric)
+        assert endpoint.isend(0, 3, 5, 3, 16, 7).event.name == "send:3->5t7"
+        assert endpoint.irecv(0, 5, 3, 7).event.name == "recv:5<-3t7"
+        assert endpoint.isend(0, 0, 1, 0, 4096, 2).event.name == "send:0->1t2"
+        pending = endpoint._matcher(0, 1).unexpected[-1]
+        assert pending.arrival.name == "rndv:0->1t2"

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.net import Fabric, NetParams
-from repro.sim import Process, Simulator, Sleep
+from repro.sim import Process, Simulator, Sleep, on_trigger
+from repro.sim.randomness import RandomStreams
 from repro.topology import ClusteredSMP, Crossbar, Torus
 from repro.util import MB
 
@@ -191,3 +192,54 @@ class TestTransferTiming:
         Process(sim, prog())
         sim.run_to_completion()
         assert done == [pytest.approx(1.0)]
+
+
+class TestZeroByteTransfer:
+    """A zero-byte message has no bandwidth phase: it arrives after its
+    startup latency and never enters the fluid network."""
+
+    def test_arrives_at_exactly_the_latency_without_a_flow(self):
+        topo = Torus((4,), link_bw=100 * MB)
+        sim, fabric = make_fabric(topo, latency=3e-6, per_hop_latency=7e-7)
+        sim.run(until=0.125)
+        flows = fabric.flows
+        before = (flows._next_flow_id, flows.flows_completed)
+        event = fabric.transfer_event(0, 2, 0)
+        arrived = []
+        on_trigger(event, lambda value: arrived.append((value, sim.now)))
+        sim.run_to_completion()
+        expected = 0.125 + fabric.startup_latency(fabric.route(0, 2))
+        assert [(v.hex(), t.hex()) for v, t in arrived] == [(expected.hex(), expected.hex())]
+        assert (flows._next_flow_id, flows.flows_completed) == before
+        assert fabric.messages_sent == 1 and fabric.bytes_sent == 0
+
+    def test_jitter_draws_once_per_zero_byte_message(self):
+        fabric = Fabric(
+            Simulator(), Torus((2,), link_bw=100 * MB),
+            NetParams(latency=100e-6, jitter=0.3), jitter_seed=5,
+        )
+        event = fabric.transfer_event(0, 1, 0)
+        fabric.sim.run_to_completion()
+        reference = RandomStreams(5).stream("fabric.jitter")
+        factor = 1.0 + 0.3 * float(reference.uniform(-1.0, 1.0))
+        nominal = fabric.startup_latency(fabric.route(0, 1))
+        assert event.value.hex() == (nominal * factor).hex()
+        # the jitter stream advanced by exactly one draw
+        assert float(fabric._jitter_rng.uniform(-1.0, 1.0)) == float(
+            reference.uniform(-1.0, 1.0)
+        )
+
+
+class TestEventNames:
+    def test_transfer_and_flow_events_keep_their_names(self):
+        _, fabric = make_fabric(Torus((2,), link_bw=100 * MB))
+        assert fabric.transfer_event(0, 1, 1024).name == "xfer:0->1:1024"
+        links = list(fabric.route(0, 1).links)
+        for _ in range(12):
+            fabric.flows.start_flow(links, 64)
+        flow = fabric.flows.start_flow(links, 64)
+        assert flow.name == "flow12"
+        assert repr(flow) == "<SimEvent 'flow12' 0 waiting>"
+        flow.trigger()
+        with pytest.raises(RuntimeError, match=r"^SimEvent 'flow12' triggered twice$"):
+            flow.trigger()

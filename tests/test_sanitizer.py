@@ -211,6 +211,43 @@ def test_beffio_is_bit_identical_under_tie_shuffle():
     assert report.ok, report.describe()
 
 
+# Glue callbacks (``on_trigger``) run synchronously inside the trigger
+# that fires them, so the shuffle cannot permute them directly; these
+# wider sweeps shuffle everything that is still queued — process
+# resumes, flow starts and completions, eager local completions, I/O
+# service — over more seeds, all three b_eff methods and every b_eff_io
+# pattern type, and require the unshuffled result exactly.
+
+_SHUFFLE_SEEDS = (1, 2, 3, 4, 5)
+
+
+def _beff_t3e16():
+    config = MeasurementConfig(max_looplength=1)
+    return to_json(get_machine("t3e").run_beff(16, config))
+
+
+def _beffio_sp4():
+    return to_json(get_machine("sp").run_beffio(4, BeffIOConfig(T=1.0)))
+
+
+_SHUFFLE_CASES = {"beff-t3e-16": _beff_t3e16, "beffio-sp-4": _beffio_sp4}
+
+
+@pytest.fixture(scope="module", params=sorted(_SHUFFLE_CASES))
+def shuffle_case(request):
+    """A case's run and its unshuffled result, computed once per module."""
+    run = _SHUFFLE_CASES[request.param]
+    return run, run()
+
+
+@pytest.mark.parametrize("seed", _SHUFFLE_SEEDS)
+def test_benchmarks_are_bit_identical_over_shuffle_seeds(shuffle_case, seed):
+    run, baseline = shuffle_case
+    with sanitized(record=False, tie_shuffle_seed=seed):
+        shuffled = run()
+    assert shuffled == baseline
+
+
 def test_cli_sanitize_flag_end_to_end():
     env = dict(os.environ, PYTHONPATH="src")
     proc = subprocess.run(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Process, SimEvent, Simulator, Sleep, wait_all
+from repro.sim import Process, SimEvent, Simulator, Sleep, on_trigger, wait_all
 
 
 class TestSleep:
@@ -94,6 +94,73 @@ class TestSimEvent:
         ev.trigger()
         with pytest.raises(RuntimeError):
             ev.trigger()
+
+    def test_format_tuple_name_renders_on_read(self):
+        sim = Simulator()
+        ev = SimEvent(sim, name=("send:{}->{}t{}", 3, 5, 7))
+        assert ev.name == "send:3->5t7"
+        assert repr(ev) == "<SimEvent 'send:3->5t7' 0 waiting>"
+        assert SimEvent(sim, name="plain").name == "plain"
+        assert SimEvent(sim).name == ""
+
+    def test_double_trigger_error_quotes_lazy_name(self):
+        sim = Simulator()
+        ev = SimEvent(sim, name=("xfer:{}->{}:{}", 0, 1, 1024))
+        ev.trigger()
+        with pytest.raises(RuntimeError, match=r"^SimEvent 'xfer:0->1:1024' triggered twice$"):
+            ev.trigger()
+
+
+class TestOnTrigger:
+    """Glue callbacks on a pending event run synchronously inside
+    ``trigger``; only an already-triggered event defers them."""
+
+    def test_callback_runs_inside_trigger_without_queueing(self):
+        sim = Simulator()
+        sim.run(until=2.5)
+        ev = SimEvent(sim)
+        got = []
+        on_trigger(ev, lambda value: got.append((value, sim.now)))
+        ev.trigger("v")
+        assert got == [("v", 2.5)]
+        assert sim.now == 2.5
+        assert sim.peek() is None
+
+    def test_callbacks_fire_in_registration_order(self):
+        sim = Simulator()
+        ev = SimEvent(sim)
+        order = []
+        for i in range(5):
+            on_trigger(ev, lambda value, i=i: order.append(i))
+        ev.trigger()
+        assert order == [0, 1, 2, 3, 4]
+
+    def test_already_triggered_event_defers_to_the_queue(self):
+        sim = Simulator()
+        ev = SimEvent(sim)
+        ev.trigger(7)
+        got = []
+        on_trigger(ev, got.append)
+        assert got == []
+        assert sim.peek() == 0.0
+        sim.run()
+        assert got == [7]
+        assert sim.now == 0.0
+
+    def test_chained_trigger_resumes_waiters_at_the_same_instant(self):
+        sim = Simulator()
+        first, second = SimEvent(sim), SimEvent(sim)
+        on_trigger(first, lambda value: second.trigger(value + 1))
+        got = []
+
+        def waiter():
+            got.append(((yield second), sim.now))
+
+        Process(sim, waiter())
+        sim.schedule(1.5, lambda: first.trigger(41))
+        sim.run_to_completion()
+        assert second.triggered
+        assert got == [(42, 1.5)]
 
 
 class TestDelegation:

@@ -43,7 +43,9 @@ class MeasurementConfig:
     #: per-pattern simulated-seconds budget; a pattern exceeding it is
     #: abandoned (skip-and-flag), never allowed to stall the run
     pattern_budget: float | None = None
-    #: hard cap on simulation events (never-hang guard under faults)
+    #: hard cap on simulation events (never-hang guard under faults).
+    #: It counts queued events only: process resumes and fused eager
+    #: send completions run inside other events and no longer count
     event_budget: int | None = None
     #: declarative workload override (:mod:`repro.scenarios`): None
     #: runs the paper's pinned pattern table; a

@@ -97,7 +97,9 @@ class BeffIOConfig:
     #: per-pattern simulated-seconds cap; caps each timed loop's
     #: deadline and flags patterns that still overran (skip-and-flag)
     pattern_budget: float | None = None
-    #: hard cap on simulation events (never-hang guard under faults)
+    #: hard cap on simulation events (never-hang guard under faults).
+    #: It counts queued events only: process resumes and fused eager
+    #: send completions run inside other events and no longer count
     event_budget: int | None = None
     #: declarative workload override (:mod:`repro.scenarios`): None
     #: runs the paper's pinned Table 2; an

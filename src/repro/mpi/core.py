@@ -70,7 +70,7 @@ class Request:
         return self.event.triggered
 
 
-@dataclass
+@dataclass(slots=True)
 class _SendRecord:
     src: int  # comm rank of sender
     tag: int
@@ -82,7 +82,7 @@ class _SendRecord:
     matched: bool = field(default=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class _RecvRecord:
     src: int  # may be ANY_SOURCE
     tag: int  # may be ANY_TAG
@@ -181,31 +181,27 @@ class Endpoint:
         """Post a send; the returned request completes per the protocol.
 
         An eager send completes locally after the route's nominal
-        :meth:`Fabric.startup_latency`, *not* the fault- and
-        jitter-adjusted latency :meth:`Fabric.transfer_event` charges
-        the wire.  This is intended: local completion models the
-        sender's buffer handoff, which a slow or noisy network (or a
-        straggling receiver) does not delay, and leaving it unadjusted
-        keeps every jitter and fault stream at one draw per message.
-        So under jitter or a straggler fault the eager send completes
-        at the unadjusted latency while its arrival moves.
+        :meth:`Fabric.startup_latency` (:meth:`Fabric.transfer_event`
+        triggers ``send_done``), *not* the fault- and jitter-adjusted
+        latency it charges the wire.  This is intended: local
+        completion models the sender's buffer handoff, which a slow or
+        noisy network (or a straggling receiver) does not delay, and
+        leaving it unadjusted keeps every jitter and fault stream at
+        one draw per message.  So under jitter or a straggler fault the
+        eager send completes at the unadjusted latency while its
+        arrival moves.
         """
         if nbytes < 0:
             raise MpiError(f"negative message size {nbytes}")
-        if tag < 0:
-            # internal collective tags are allowed; user API validates
-            pass
         sim = self.sim
         fabric = self.fabric
         send_done = SimEvent(sim, name=("send:{}->{}t{}", world_src, world_dst, tag))
         request = Request("send", send_done)
 
         if fabric.is_eager(nbytes):
-            arrival = fabric.transfer_event(world_src, world_dst, nbytes)
             # Local completion: the eager buffer handoff costs the
             # startup latency, then the sender may proceed.
-            route = fabric.route(world_src, world_dst)
-            sim.schedule(fabric.startup_latency(route), lambda: send_done.trigger(None))
+            arrival = fabric.transfer_event(world_src, world_dst, nbytes, send_done)
             record = _SendRecord(
                 src=comm_src, tag=tag, nbytes=nbytes, data=data,
                 arrival=arrival, request=request,

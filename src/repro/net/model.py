@@ -150,7 +150,9 @@ class Fabric:
 
     # -- execution --------------------------------------------------------
 
-    def transfer_event(self, src: int, dst: int, nbytes: int) -> SimEvent:
+    def transfer_event(
+        self, src: int, dst: int, nbytes: int, send_done: SimEvent | None = None
+    ) -> SimEvent:
         """Start a transfer *now*; the returned event fires on arrival.
 
         The event triggers after startup latency plus the fluid
@@ -158,12 +160,21 @@ class Fabric:
         and starts no flow, so it arrives at exactly the latency.
         Rendezvous handshakes are the p2p layer's job (they need
         receiver state); this method only moves bytes.
+
+        ``send_done``, when given, is triggered (with ``None``) after
+        the route's nominal :meth:`startup_latency` — the eager
+        sender's local completion.  When the fault- and
+        jitter-adjusted latency equals the nominal one, it fires in
+        the same callback that begins the flow, right after it: as two
+        events they would share a timestamp and consecutive sequence
+        numbers, so nothing could run between them anyway.  Otherwise
+        it is its own event, queued after the flow's.
         """
         if nbytes < 0:
             raise ValueError(f"negative message size: {nbytes!r}")
         route = self.route(src, dst)
         done = SimEvent(self.sim, name=("xfer:{}->{}:{}", src, dst, nbytes))
-        latency = self.startup_latency(route)
+        nominal = latency = self.startup_latency(route)
         if self.faults is not None:
             latency = self.faults.adjust_latency(src, dst, latency)
         latency = self._jittered(latency)
@@ -171,17 +182,22 @@ class Fabric:
         self.bytes_sent += nbytes
         if self.tracer is not None:
             self.tracer.record(self.sim.now, "msg", src, dst, nbytes)
+        fused = send_done if latency == nominal else None
 
         def begin_flow() -> None:
             if nbytes == 0:
                 done.trigger(self.sim.now)
-                return
-            flow_done = self.flows.start_flow(
-                list(route.links), nbytes, rate_cap=self.rate_cap_for(route)
-            )
-            on_trigger(flow_done, lambda _value: done.trigger(self.sim.now))
+            else:
+                flow_done = self.flows.start_flow(
+                    list(route.links), nbytes, rate_cap=self.rate_cap_for(route)
+                )
+                on_trigger(flow_done, lambda _value: done.trigger(self.sim.now))
+            if fused is not None:
+                fused.trigger(None)
 
         self.sim.schedule(latency, begin_flow)
+        if send_done is not None and fused is None:
+            self.sim.schedule(nominal, lambda: send_done.trigger(None))
         return done
 
     def transfer(self, src: int, dst: int, nbytes: int):

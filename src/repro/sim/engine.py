@@ -31,6 +31,7 @@ one ``is None`` test per scheduled event.
 from __future__ import annotations
 
 import os
+from collections import deque
 from collections.abc import Callable
 from typing import Any
 
@@ -85,7 +86,7 @@ class Simulator:
     """
 
     __slots__ = ("_now", "_seq", "_heap", "processes",
-                 "_tie_seed", "_recorder")
+                 "_run_list", "_stepping", "_tie_seed", "_recorder")
 
     def __init__(self) -> None:
         self._now = 0.0
@@ -98,6 +99,12 @@ class Simulator:
         self._heap: list[EventHandle] = []
         #: live processes registered by :class:`repro.sim.process.Process`
         self.processes: list[Any] = []
+        #: (process, value) resumes requested while a step runs; the
+        #: outermost resume drains them in FIFO order at the current
+        #: time, off the heap (see :mod:`repro.sim.process`)
+        self._run_list: deque[tuple[Any, object]] = deque()
+        #: True while a process step executes
+        self._stepping = False
         #: sanitizer state: None = plain FIFO tie-breaking (tie_key == seq)
         self._tie_seed: int | None = None
         #: sanitizer trace sink: callback(time, seq, event_callback)

@@ -11,9 +11,20 @@ simulated operations by yielding *primitives*:
 
 Higher layers (MPI calls, filesystem requests) are themselves
 generators that the user code delegates to with ``yield from``, so the
-kernel only ever sees the two primitives.  This is the SimPy execution
+kernel only ever sees these primitives.  This is the SimPy execution
 model re-implemented in ~100 lines, with strictly deterministic
-scheduling (FIFO resumption via the engine's sequence numbers).
+scheduling.
+
+Resumption never goes through the event heap.  A trigger resumes a
+waiting process at once when no process step is running; a resume
+requested while a step runs joins the simulator's FIFO run list, and
+the outermost resume drains that list after its own step returns.  So
+a step never nests inside another step, the stack stays shallow
+however long a chain of same-instant resumes gets, and same-instant
+resumes run in the order they were requested.  Yielding an event that
+has already triggered continues the generator in the same step.  Only
+``Sleep``, ``SleepUntil``, ``Tail`` and a process's first step are
+queued events; they enter through the same trampoline.
 """
 
 from __future__ import annotations
@@ -77,7 +88,9 @@ class SimEvent:
         self.triggered = False
         self.value: object = None
         self._name = name
-        self._waiters: list[Process | _CallbackWaiter] = []
+        #: plain callables taking the trigger value: glue callbacks and
+        #: bound :meth:`Process._resume` methods, in registration order
+        self._waiters: list[Callable[[object], object]] = []
 
     @property
     def name(self) -> str:
@@ -90,14 +103,15 @@ class SimEvent:
         return str(template).format(*args)
 
     def trigger(self, value: object = None) -> None:
-        """Fire the event: run glue callbacks now, queue process resumes."""
+        """Fire the event: run glue callbacks and resume waiting processes
+        (at once, or after the running step; see the module docstring)."""
         if self.triggered:
             raise RuntimeError(f"SimEvent {self.name!r} triggered twice")
         self.triggered = True
         self.value = value
         waiters, self._waiters = self._waiters, []
-        for proc in waiters:
-            proc._resume_later(value)
+        for waiter in waiters:
+            waiter(value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "triggered" if self.triggered else f"{len(self._waiters)} waiting"
@@ -132,19 +146,7 @@ def on_trigger(event: SimEvent, callback: Callable[[object], object]) -> None:
     if event.triggered:
         event.sim.schedule(0.0, lambda: callback(event.value))
     else:
-        event._waiters.append(_CallbackWaiter(callback))
-
-
-class _CallbackWaiter:
-    """Adapter giving a plain callable the Process waiter protocol."""
-
-    __slots__ = ("callback",)
-
-    def __init__(self, callback: Callable[[object], object]) -> None:
-        self.callback = callback
-
-    def _resume_later(self, value: object) -> None:
-        self.callback(value)
+        event._waiters.append(callback)
 
 
 class Process:
@@ -171,36 +173,59 @@ class Process:
         sim.processes.append(self)
         # Start lazily so process creation order does not advance time;
         # the first step runs at the current time via the event queue.
-        sim.schedule(0.0, lambda: self._step(None))
+        sim.schedule(0.0, self._resume)
 
-    def _resume_later(self, value: object) -> None:
-        self.sim.schedule(0.0, lambda: self._step(value))
+    def _resume(self, value: object = None) -> None:
+        """Run the next step now, or after the running step returns.
+
+        The outermost call is the trampoline: it drains the
+        simulator's run list, so the steps it runs never nest.
+        """
+        sim = self.sim
+        run_list = sim._run_list
+        if sim._stepping:
+            run_list.append((self, value))
+            return
+        sim._stepping = True
+        try:
+            self._step(value)
+            while run_list:
+                proc, value = run_list.popleft()
+                proc._step(value)
+        finally:
+            sim._stepping = False
+            run_list.clear()  # empty unless a step raised, which ends the run
 
     def _step(self, value: object) -> None:
-        try:
-            command = self._gen.send(value)
-        except StopIteration as stop:
-            self.finished = True
-            self.result = stop.value
-            self.done_event.trigger(stop.value)
-            return
-        if isinstance(command, Sleep):
-            self.sim.schedule(command.duration, lambda: self._step(None))
-        elif isinstance(command, SleepUntil):
-            self.sim.schedule_abs(command.time, lambda: self._step(None))
-        elif isinstance(command, Tail):
-            self.sim.schedule_tail(lambda: self._step(None))
-        elif isinstance(command, SimEvent):
-            if command.triggered:
-                self._resume_later(command.value)
+        gen = self._gen
+        while True:
+            try:
+                command = gen.send(value)
+            except StopIteration as stop:
+                self.finished = True
+                self.result = stop.value
+                self.done_event.trigger(stop.value)
+                return
+            if isinstance(command, SimEvent):
+                if not command.triggered:
+                    command._waiters.append(self._resume)
+                    return
+                value = command.value  # already fired: continue in this step
+            elif isinstance(command, Sleep):
+                self.sim.schedule(command.duration, self._resume)
+                return
+            elif isinstance(command, SleepUntil):
+                self.sim.schedule_abs(command.time, self._resume)
+                return
+            elif isinstance(command, Tail):
+                self.sim.schedule_tail(self._resume)
+                return
             else:
-                command._waiters.append(self)
-        else:
-            raise TypeError(
-                f"process {self.name!r} yielded {command!r}; only Sleep, "
-                "SleepUntil, Tail and SimEvent are valid primitives (did "
-                "you forget 'yield from'?)"
-            )
+                raise TypeError(
+                    f"process {self.name!r} yielded {command!r}; only Sleep, "
+                    "SleepUntil, Tail and SimEvent are valid primitives (did "
+                    "you forget 'yield from'?)"
+                )
 
     def __repr__(self) -> str:
         state = "finished" if self.finished else "running"

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.beffio import BeffIOConfig, run_beffio
 from repro.beffio.sweep import run_sweep
+from repro.machines import get_machine
 from repro.mpiio.file import IOFile, open_file
 from repro.util import KB, MB
 
@@ -93,6 +94,21 @@ class TestFastMatchesReference:
             fs_over=dict(num_servers=num_servers),
         )
         _identical(ref, fast)
+
+    @pytest.mark.parametrize("machine, expected", [
+        ("sp", "0x1.7b123a4d7394cp+26"),
+        ("t3e", "0x1.1c624165ad4a6p+27"),
+    ])
+    def test_machine_runs_keep_the_server_resume_order(self, machine, expected):
+        # a client resumed by the I/O server's done.trigger runs after
+        # the server's step returns, so the server re-arms its drain
+        # delay first, as when every resume was a queued event; the
+        # pinned values are those of that heap-resume order
+        spec = get_machine(machine)
+        ref = spec.run_beffio(4, BeffIOConfig(T=2.0, mode="reference"))
+        fast = spec.run_beffio(4, BeffIOConfig(T=2.0, mode="fast"))
+        _identical(ref, fast)
+        assert fast.b_eff_io.hex() == ref.b_eff_io.hex() == expected
 
     def test_wellformed_only_subset(self):
         ref, fast = _run_both(4, dict(T=1.5, wellformed_only=True))

@@ -418,6 +418,24 @@ class TestEagerLocalCompletion:
         assert t_recv - t0 >= 4.0 * nominal
         assert t_recv > plain[2]
 
+    @pytest.mark.parametrize("jitter, entries", [(0.0, 1), (0.3, 2)])
+    def test_one_heap_entry_per_eager_send_unless_jittered(self, jitter, entries):
+        """Without jitter the local completion rides in the callback
+        that begins the flow; with jitter it is its own event."""
+        from repro.mpi.core import Endpoint
+        from repro.sim import on_trigger
+
+        fabric = self._fabric(jitter=jitter)
+        sim = fabric.sim
+        sim.run(until=0.375)
+        request = Endpoint(fabric).isend(0, 0, 1, 0, 1024, 0)
+        assert len(sim._heap) == entries
+        fired = []
+        on_trigger(request.event, lambda _value: fired.append(sim.now))
+        sim.run()
+        expected = 0.375 + fabric.startup_latency(fabric.route(0, 1))
+        assert [t.hex() for t in fired] == [expected.hex()]
+
 
 class TestMessageEventNames:
     def test_send_rendezvous_and_receive_names(self):

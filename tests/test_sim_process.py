@@ -163,6 +163,110 @@ class TestOnTrigger:
         assert got == [(42, 1.5)]
 
 
+class TestResumeInPlace:
+    """Resumes never touch the heap: a trigger outside a step runs the
+    waiter at once, one inside a step queues it on the run list."""
+
+    def test_long_done_event_chain_does_not_recurse(self):
+        sim = Simulator()
+        procs = []
+
+        # each process waits for the previous one's done_event
+        def chained(prev, i):
+            if prev is not None:
+                value = yield prev.done_event
+                assert value == i - 1
+            else:
+                yield Sleep(1.0)
+            return i
+
+        prev = None
+        for i in range(2000):
+            prev = Process(sim, chained(prev, i), name=f"p{i}")
+            procs.append(prev)
+        sim.run_to_completion()
+        assert all(p.finished for p in procs)
+        assert procs[-1].result == 1999
+        assert sim.now == 1.0
+
+    def test_resume_inside_a_step_runs_after_it_in_fifo_order(self):
+        sim = Simulator()
+        evs = [SimEvent(sim) for _ in range(3)]
+        order = []
+
+        def waiter(i):
+            yield evs[i]
+            order.append((f"w{i}", sim.now))
+
+        def firer():
+            yield Sleep(2.0)
+            heap = list(sim._heap)
+            for ev in (evs[2], evs[0], evs[1]):
+                ev.trigger()
+            order.append(("firer", sim.now))
+            assert sim._heap == heap  # the three resumes queued nothing
+            yield Sleep(1.0)
+
+        for i in range(3):
+            Process(sim, waiter(i))
+        Process(sim, firer())
+        sim.run_to_completion()
+        assert order == [("firer", 2.0), ("w2", 2.0), ("w0", 2.0), ("w1", 2.0)]
+
+    def test_trigger_outside_a_step_resumes_at_once(self):
+        sim = Simulator()
+        ev = SimEvent(sim)
+        got = []
+
+        def waiter():
+            got.append((yield ev))
+
+        Process(sim, waiter())
+        sim.run()
+        ev.trigger("now")
+        assert got == ["now"]
+        assert sim.peek() is None
+
+    def test_yield_of_a_triggered_event_continues_in_the_same_step(self):
+        sim = Simulator()
+        ev = SimEvent(sim)
+        ev.trigger(5)
+        seen = []
+
+        def prog():
+            yield Sleep(1.0)
+            heap = list(sim._heap)
+            seen.append((yield ev))
+            seen.append((yield ev))
+            assert sim._heap == heap
+            seen.append(sim.now)
+
+        Process(sim, prog())
+        sim.run_to_completion()
+        assert seen == [5, 5, 1.0]
+
+    def test_a_raising_step_leaves_no_pending_resume(self):
+        sim = Simulator()
+        ev = SimEvent(sim)
+        ran = []
+
+        def waiter():
+            yield ev
+            ran.append(True)
+
+        def bad():
+            yield Sleep(1.0)
+            ev.trigger()
+            raise ValueError("boom")
+
+        Process(sim, waiter())
+        Process(sim, bad())
+        with pytest.raises(ValueError, match="boom"):
+            sim.run()
+        assert not sim._stepping and not sim._run_list
+        assert ran == []
+
+
 class TestDelegation:
     def test_yield_from_subroutine(self):
         sim = Simulator()

@@ -326,7 +326,8 @@ class _DictFlow:
         self.event = event
         self.rate = 0.0
         self.finish_time = math.inf
-        self.private_link = None
+        self.cap = None
+        self.key_route = ()
         self.meta = None
 
 

@@ -171,7 +171,7 @@ class RoundModel:
         self.topology = fabric.topology
         self._capacities = {
             link_id: fabric.flows.link(link_id).capacity
-            for link_id in range(fabric.flows.num_links)
+            for link_id in fabric.flows.link_ids()
         }
         self._route_cache: dict[tuple[int, int], Route] = {}
         self._round_cache: dict[tuple[CommPattern, int, str], float] = {}

@@ -189,7 +189,7 @@ class Fabric:
                 done.trigger(self.sim.now)
             else:
                 flow_done = self.flows.start_flow(
-                    list(route.links), nbytes, rate_cap=self.rate_cap_for(route)
+                    route.links, nbytes, rate_cap=self.rate_cap_for(route)
                 )
                 on_trigger(flow_done, lambda _value: done.trigger(self.sim.now))
             if fused is not None:

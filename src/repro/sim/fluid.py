@@ -28,10 +28,9 @@ The engine comes in two modes:
     member tables and live member *counts*; a larger one runs the CSR
     kernel (:class:`repro.sim.kernel.RouteIncidence`).  Both compute
     exactly :func:`repro.sim.oracle.maxmin_allocate` on the
-    component's routes, ``float.hex`` for ``float.hex``.  Progress
-    settling charges per-link byte counters from per-link aggregate
-    rates maintained on membership change, and completions pop from a
-    min-heap of finish times instead of a scan over all flows.
+    component's routes, ``float.hex`` for ``float.hex``.  Settling
+    only advances each flow's residual bytes, and completions pop from
+    a min-heap of finish times instead of a scan over all flows.
 
 ``reference``
     The seed behaviour, kept as the correctness (and wall-clock
@@ -42,6 +41,12 @@ The engine comes in two modes:
     the two modes agree to float precision (one global solve and one
     solve per component can differ in the last bits of tolerance
     ties) and records their speed ratio.
+
+Both modes treat a per-flow rate cap as a solver-local pseudo-link
+``~flow_id`` appended to the flow's route (capacity = the cap, its
+only member the flow), so no :class:`Link` is registered per message,
+and both count a link's carried bytes when a flow retires (see
+:attr:`FlowNetwork.link_bytes`).
 """
 
 from __future__ import annotations
@@ -91,7 +96,10 @@ class Flow:
     event: SimEvent
     rate: float = 0.0
     finish_time: float = math.inf
-    private_link: int | None = None
+    cap: float | None = None
+    #: the solver's route: ``route`` plus, for a capped flow, the cap's
+    #: pseudo-link ``~flow_id`` (negative, so it never names a Link)
+    key_route: tuple[int, ...] = ()
     meta: object = None
 
 
@@ -120,13 +128,8 @@ class FlowNetwork:
         "flows_completed",
         "_link_bytes",
         "_members",
-        "_rate_slot",
-        "_rate_arr",
-        "_bytes_arr",
-        "_slots_used",
-        "_free_slots",
-        "_pending_totals",
         "_dirty_links",
+        "_unlinked_flows",
         "_flush_handle",
         "_finish_heap",
         "allocations",
@@ -148,31 +151,15 @@ class FlowNetwork:
         #: statistics: total bytes completed, flow count
         self.bytes_completed = 0.0
         self.flows_completed = 0
-        #: bytes carried per link in reference mode (hot-link analysis);
-        #: the incremental engine keeps the same totals in slotted arrays
+        #: bytes of retired flows per link (hot-link analysis)
         self._link_bytes: dict[int, float] = {}
         #: link id -> {flow_id: None} of flows crossing it (insertion order)
         self._members: dict[int, dict[int, None]] = {}
-        # Incremental-mode settle accounting is slotted: every link that
-        # has carried a flow occupies a slot in a pair of dense numpy
-        # arrays so one whole-array `bytes += rate * dt` replaces the
-        # per-link Python loop.  A public link keeps its slot for the
-        # life of the network (an idle slot has rate 0.0, and settling
-        # it adds an exact 0.0, so the addition chain per link is the
-        # one the dict-based accounting performed).  Private per-flow
-        # cap links never recur, so their slots are recycled via a
-        # free list; otherwise they would grow the arrays without bound.
-        #: link id -> slot index in the rate/bytes arrays
-        self._rate_slot: dict[int, int] = {}
-        self._rate_arr: np.ndarray = np.zeros(0, dtype=np.float64)
-        self._bytes_arr: np.ndarray = np.zeros(0, dtype=np.float64)
-        self._slots_used = 0
-        self._free_slots: list[int] = []
-        #: per-link aggregate rates handed from the vectorized solver
-        #: to the same flush (avoids re-summing member rates in Python)
-        self._pending_totals: dict[int, float] | None = None
         #: links whose membership changed since the last flush
         self._dirty_links: set[int] = set()
+        #: capped flows started with an empty route since the last
+        #: flush: no link reaches them, so the flush starts from them
+        self._unlinked_flows: list[int] = []
         #: pending zero-delay allocation flush (batches same-instant changes)
         self._flush_handle: EventHandle | None = None
         #: lazy min-heap of (finish_time, flow_id); stale entries skipped
@@ -217,18 +204,13 @@ class FlowNetwork:
             self._reallocate_reference((link_id,))
 
     def link_ids(self) -> list[int]:
-        """All public (non-private-cap) link ids, ascending."""
-        return sorted(
-            link_id for link_id, link in self._links.items()
-            if not link.name.startswith("cap:")
-        )
+        """All link ids, ascending."""
+        return sorted(self._links)
 
     def find_links(self, pattern: str) -> list[int]:
-        """Ids of public links whose name contains ``pattern``, ascending."""
+        """Ids of links whose name contains ``pattern``, ascending."""
         return sorted(
-            link_id
-            for link_id, link in self._links.items()
-            if not link.name.startswith("cap:") and pattern in link.name
+            link_id for link_id, link in self._links.items() if pattern in link.name
         )
 
     @property
@@ -243,50 +225,19 @@ class FlowNetwork:
     def link_bytes(self) -> dict[int, float]:
         """Bytes carried per link (hot-link analysis), by ascending link id.
 
-        A private cap link's count is dropped when its flow retires, so
-        the keys are public links plus the caps of active flows.
-        Reference mode copies its accounting dict; incremental mode
-        materializes the same totals from the slotted arrays.
+        A retired flow counts its whole size on every link of its route
+        (once per crossing); an active flow counts the bytes it had
+        moved by the last settle.  Retired sizes are integers in
+        practice, so their sums are exact and independent of the order
+        flows retire in.  Links that have carried nothing are omitted.
         """
-        if not self._incremental:
-            return dict(sorted(self._link_bytes.items()))
-        barr = self._bytes_arr
-        slot_of = self._rate_slot
-        out: dict[int, float] = {}
-        for link_id in sorted(slot_of):
-            carried = float(barr[slot_of[link_id]])
-            if carried != 0.0:
-                out[link_id] = carried
-        return out
-
-    # -- slotted rate/byte accounting (incremental mode) -----------------
-
-    def _slot_for(self, link_id: int) -> int:
-        """Allocate a zeroed slot for ``link_id``, which has none yet."""
-        free = self._free_slots
-        if free:
-            slot = free.pop()
-        else:
-            slot = self._slots_used
-            if slot == len(self._rate_arr):
-                cap = max(64, 2 * len(self._rate_arr))
-                for name in ("_rate_arr", "_bytes_arr"):
-                    old = getattr(self, name)
-                    grown = np.zeros(cap, dtype=np.float64)
-                    grown[: len(old)] = old
-                    setattr(self, name, grown)
-            self._slots_used += 1
-        self._rate_slot[link_id] = slot
-        return slot
-
-    def _drop_slot(self, link_id: int) -> None:
-        """Release a private cap link's slot (and its byte count)."""
-        slot = self._rate_slot.pop(link_id, None)
-        if slot is None:
-            return
-        self._rate_arr[slot] = 0.0
-        self._bytes_arr[slot] = 0.0
-        self._free_slots.append(slot)
+        out = dict(self._link_bytes)
+        for flow in self._flows.values():
+            moved = flow.total_bytes - flow.remaining
+            if moved > 0.0:
+                for link_id in flow.route:
+                    out[link_id] = out.get(link_id, 0.0) + moved
+        return dict(sorted(out.items()))
 
     # -- flows ---------------------------------------------------------
 
@@ -301,34 +252,39 @@ class FlowNetwork:
 
         Returns a :class:`SimEvent` that triggers when the last byte
         arrives.  ``rate_cap`` bounds this flow's rate regardless of
-        link shares (models a NIC or memory-copy engine limit); it is
-        implemented as a private link appended to the route so the
-        fairness computation stays uniform.
+        link shares (models a NIC or memory-copy engine limit).  The
+        solvers treat it as a pseudo-link ``~flow_id`` appended to the
+        route (capacity ``rate_cap``, this flow its only member), so
+        the fairness computation stays uniform without registering a
+        link per message.
 
         An empty route or zero bytes completes immediately (zero-cost
-        local transfer).
+        local transfer), unless the empty route is capped.
         """
         if nbytes < 0:
             raise ValueError(f"negative flow size: {nbytes!r}")
-        event = SimEvent(self.sim, name=("flow{}", self._next_flow_id))
+        flow_id = self._next_flow_id
+        event = SimEvent(self.sim, name=("flow{}", flow_id))
         if nbytes == 0 or (not route and rate_cap is None):
             self.sim.schedule(0.0, lambda: event.trigger(0.0))
             return event
         for link_id in route:
             if link_id not in self._links:
                 raise KeyError(f"unknown link id {link_id!r} in route")
-        private = None
-        full_route = tuple(route)
+        route = tuple(route)
+        key_route = route
         if rate_cap is not None:
-            private = self.add_link(rate_cap, name=f"cap:flow{self._next_flow_id}")
-            full_route = full_route + (private,)
+            if not (rate_cap > 0.0) or math.isinf(rate_cap):
+                raise ValueError(f"rate cap must be finite and positive: {rate_cap!r}")
+            key_route = route + (~flow_id,)
         flow = Flow(
-            flow_id=self._next_flow_id,
-            route=full_route,
+            flow_id=flow_id,
+            route=route,
             remaining=float(nbytes),
             total_bytes=float(nbytes),
             event=event,
-            private_link=private,
+            cap=rate_cap,
+            key_route=key_route,
             meta=meta,
         )
         self._next_flow_id += 1
@@ -336,18 +292,22 @@ class FlowNetwork:
             # Rates only matter once time advances, so joining flows can
             # wait for the end-of-instant flush; N simultaneous starts
             # then cost one allocation.
-            self._flows[flow.flow_id] = flow
-            for link_id in full_route:
-                self._members.setdefault(link_id, {})[flow.flow_id] = None
-            self._dirty_links.update(full_route)
+            self._flows[flow_id] = flow
+            if route:
+                members = self._members
+                for link_id in route:
+                    members.setdefault(link_id, {})[flow_id] = None
+                self._dirty_links.update(route)
+            else:
+                self._unlinked_flows.append(flow_id)
             self._request_flush()
         else:
             # seed behaviour: settle + immediate full reallocation (the
             # member table is an incremental-mode structure; the
             # reference solver rebuilds membership from scratch)
             self._settle()
-            self._flows[flow.flow_id] = flow
-            self._reallocate_reference(full_route)
+            self._flows[flow_id] = flow
+            self._reallocate_reference(key_route)
         return event
 
     def current_rates(self) -> dict[int, float]:
@@ -372,33 +332,10 @@ class FlowNetwork:
         self._last_settle = now
         if dt <= 0.0:
             return
-        if not self._incremental:
-            link_bytes = self._link_bytes
-            for flow in self._flows.values():
-                moved = min(flow.rate * dt, flow.remaining)
-                flow.remaining -= moved
-                if moved > 0.0:
-                    for link_id in flow.route:
-                        link_bytes[link_id] = link_bytes.get(link_id, 0.0) + moved
-            return
-        # Charge links from the slotted aggregate rates: one whole-array
-        # op instead of a Python loop over active links.  Released slots
-        # carry rate 0.0, so their `+= 0.0 * dt` contribution is exact.
-        used = self._slots_used
-        if used:
-            self._bytes_arr[:used] += self._rate_arr[:used] * dt
-        # ... then advance flows, refunding the (float-slop) overshoot of
-        # any flow that ran out of bytes before the interval ended.
-        slot_of = self._rate_slot
-        barr = self._bytes_arr
         for flow in self._flows.values():
             moved = flow.rate * dt
             if moved >= flow.remaining:
-                excess = moved - flow.remaining
                 flow.remaining = 0.0
-                if excess > 0.0:
-                    for link_id in flow.route:
-                        barr[slot_of[link_id]] -= excess
             else:
                 flow.remaining -= moved
 
@@ -416,24 +353,25 @@ class FlowNetwork:
         Max-min fairness decomposes over connected components of the
         flow/link sharing graph, so only flows reachable (via shared
         links) from a dirty link can see their rate change; everyone
-        else keeps rate and finish time untouched.
+        else keeps rate and finish time untouched.  A capped flow with
+        an empty route is its own component, reached from
+        ``_unlinked_flows`` instead.
         """
         self._flush_handle = None
         self._settle()
         dirty, self._dirty_links = self._dirty_links, set()
         members = self._members
         # Affected component: BFS links <-> member flows from the dirty set.
-        comp_links: list[int] = []
         seen_links: set[int] = set()
-        comp_flows: list[int] = []
-        seen_flows: set[int] = set()
+        comp_flows = self._unlinked_flows
+        seen_flows = set(comp_flows)
+        self._unlinked_flows = []
         stack = sorted(link_id for link_id in dirty if link_id in members)
         while stack:
             link_id = stack.pop()
             if link_id in seen_links:
                 continue
             seen_links.add(link_id)
-            comp_links.append(link_id)
             for fid in members[link_id]:
                 if fid not in seen_flows:
                     seen_flows.add(fid)
@@ -458,19 +396,6 @@ class FlowNetwork:
                 else:
                     flow.finish_time = now + flow.remaining / rate
                 heapq.heappush(heap, (flow.finish_time, fid))
-            rate_arr = self._rate_arr
-            pending, self._pending_totals = self._pending_totals, None
-            rate_of = rates.__getitem__
-            for link_id in comp_links:
-                if pending is not None:
-                    total = pending[link_id]
-                else:
-                    total = sum(map(rate_of, members[link_id]))
-                slot = self._rate_slot.get(link_id)
-                if slot is None:
-                    slot = self._slot_for(link_id)
-                    rate_arr = self._rate_arr  # may have grown
-                rate_arr[slot] = total
         self._arm_timer()
 
     def _solve_component(self, flow_ids: list[int]) -> dict[int, float]:
@@ -481,7 +406,8 @@ class FlowNetwork:
         same per-link order), but the per-round ``sum(1 for i in members
         if i in unfixed)`` rescans are replaced by member counts that
         the saturation scan decrements as it fixes each flow — the live
-        counts the oracle recounts.
+        counts the oracle recounts.  A cap enters after its flow's route
+        links, where ``key_route`` puts its pseudo-link.
         """
         self.allocations += 1
         self.flows_solved += len(flow_ids)
@@ -493,12 +419,16 @@ class FlowNetwork:
         residual: dict[int, float] = {}
         counts: dict[int, int] = {}
         for fid in flow_ids:
-            for link_id in flows[fid].route:
+            flow = flows[fid]
+            for link_id in flow.route:
                 if link_id in residual:
                     counts[link_id] += 1
                 else:
                     residual[link_id] = links[link_id].capacity
                     counts[link_id] = 1
+            if flow.cap is not None:
+                residual[~fid] = flow.cap
+                counts[~fid] = 1
         rates: dict[int, float] = {}
         unfixed = dict.fromkeys(flow_ids)
         while unfixed:
@@ -519,15 +449,16 @@ class FlowNetwork:
                 if count == 0:
                     continue
                 if residual[link_id] / count <= tol:
-                    for fid in members[link_id]:
+                    # a cap's pseudo-link has its own flow as sole member
+                    for fid in members[link_id] if link_id >= 0 else (~link_id,):
                         if fid in unfixed:
                             newly_fixed.append(fid)
                             del unfixed[fid]
-                            for other in flows[fid].route:
+                            for other in flows[fid].key_route:
                                 counts[other] -= 1
             for fid in newly_fixed:
                 rates[fid] = bottleneck
-                for link_id in flows[fid].route:
+                for link_id in flows[fid].key_route:
                     residual[link_id] = max(0.0, residual[link_id] - bottleneck)
         return rates
 
@@ -540,21 +471,16 @@ class FlowNetwork:
         """
         flows = self._flows
         links = self._links
-        routes = [flows[fid].route for fid in flow_ids]
-        incidence = RouteIncidence(routes)
+        incidence = RouteIncidence([flows[fid].key_route for fid in flow_ids])
         caps = np.fromiter(
-            (links[link_id].capacity for link_id in incidence.link_ids),
+            (
+                links[link_id].capacity if link_id >= 0 else flows[~link_id].cap
+                for link_id in incidence.link_ids
+            ),
             dtype=np.float64,
             count=incidence.n_links,
         )
-        rate_vec = incidence.solve(caps)
-        if not incidence.has_duplicate_pairs:
-            # hand the flush the per-link aggregate rates too: the
-            # bincount accumulates each link's members in the same
-            # ascending-flow order the Python loop would
-            totals = incidence.link_totals(rate_vec).tolist()
-            self._pending_totals = dict(zip(incidence.link_ids, totals))
-        return dict(zip(flow_ids, rate_vec.tolist()))
+        return dict(zip(flow_ids, incidence.solve(caps).tolist()))
 
     def _arm_timer(self) -> None:
         """(Re)schedule the single completion timer from the finish heap."""
@@ -574,45 +500,36 @@ class FlowNetwork:
             return
 
     def _retire(self, flow: Flow) -> None:
-        """Remove a completed flow from all bookkeeping tables."""
-        del self._flows[flow.flow_id]
+        """Remove a completed flow from the tables; count its bytes."""
+        fid = flow.flow_id
+        del self._flows[fid]
+        nbytes = flow.total_bytes
+        link_bytes = self._link_bytes
+        for link_id in flow.route:
+            link_bytes[link_id] = link_bytes.get(link_id, 0.0) + nbytes
         if self._incremental:
             members = self._members
             for link_id in flow.route:
                 entry = members.get(link_id)
                 if entry is not None:
-                    entry.pop(flow.flow_id, None)
+                    entry.pop(fid, None)
                     if not entry:
-                        # the link goes idle but keeps its slot
                         del members[link_id]
-                        self._rate_arr[self._rate_slot[link_id]] = 0.0
                 self._dirty_links.add(link_id)
-        if flow.private_link is not None:
-            # private ids never recur: drop the cap link and its byte count
-            del self._links[flow.private_link]
-            self._dirty_links.discard(flow.private_link)
-            self._drop_slot(flow.private_link)
-            self._link_bytes.pop(flow.private_link, None)
-        self.bytes_completed += flow.total_bytes
+        self.bytes_completed += nbytes
         self.flows_completed += 1
 
     def hottest_links(self, top: int = 10) -> list[tuple[str, float]]:
         """The most-trafficked links as (name, bytes), descending.
 
-        Private per-flow cap links are excluded; use this to explain
-        contention results (e.g. which torus links the random
-        placement saturates).
+        Use this to explain contention results (e.g. which torus links
+        the random placement saturates).
         """
         ranked = sorted(self.link_bytes.items(), key=lambda kv: (-kv[1], kv[0]))
-        out: list[tuple[str, float]] = []
-        for link_id, nbytes in ranked:
-            link = self._links.get(link_id)
-            if link is None or link.name.startswith("cap:"):
-                continue
-            out.append((link.name or str(link_id), nbytes))
-            if len(out) >= top:
-                break
-        return out
+        return [
+            (self._links[link_id].name or str(link_id), nbytes)
+            for link_id, nbytes in ranked[:top]
+        ]
 
     def _on_timer(self) -> None:
         self._timer = None
@@ -677,12 +594,13 @@ class FlowNetwork:
         self.flows_solved += len(self._flows)
 
         flows = list(self._flows.values())
-        capacities = {
-            link_id: self._links[link_id].capacity
-            for flow in flows
-            for link_id in flow.route
-        }
-        rates = maxmin_allocate(capacities, [flow.route for flow in flows])
+        capacities: dict[int, float] = {}
+        for flow in flows:
+            for link_id in flow.route:
+                capacities[link_id] = self._links[link_id].capacity
+            if flow.cap is not None:
+                capacities[~flow.flow_id] = flow.cap
+        rates = maxmin_allocate(capacities, [flow.key_route for flow in flows])
         for flow, rate in zip(flows, rates):
             flow.rate = rate
 
@@ -710,7 +628,7 @@ class FlowNetwork:
         """Ids of the active flows linked to ``touched`` through shared links."""
         on_link: dict[int, list[int]] = {}
         for flow in self._flows.values():
-            for link_id in flow.route:
+            for link_id in flow.key_route:
                 on_link.setdefault(link_id, []).append(flow.flow_id)
         near: set[int] = set()
         seen: set[int] = set()
@@ -723,5 +641,5 @@ class FlowNetwork:
             for fid in on_link.get(link_id, ()):
                 if fid not in near:
                     near.add(fid)
-                    stack.extend(self._flows[fid].route)
+                    stack.extend(self._flows[fid].key_route)
         return near

@@ -78,7 +78,6 @@ class RouteIncidence:
         "link_ptr",
         "link_rows",
         "empty",
-        "has_duplicate_pairs",
     )
 
     def __init__(
@@ -119,32 +118,6 @@ class RouteIncidence:
         self.link_ptr: IntArray = ptr
         #: flows with no links (rate = inf, excluded from filling)
         self.empty: BoolArray = lengths == 0
-        #: True when some route crosses the same link twice; per-link
-        #: aggregate helpers that must count each flow once cannot be
-        #: used on such structures (the solver itself handles dups fine)
-        if len(self.link_rows) > 1:
-            cols_sorted = self.flow_cols[order]
-            self.has_duplicate_pairs = bool(
-                np.any(
-                    (cols_sorted[1:] == cols_sorted[:-1])
-                    & (self.link_rows[1:] == self.link_rows[:-1])
-                )
-            )
-        else:
-            self.has_duplicate_pairs = False
-
-    def link_totals(self, per_flow: FloatArray) -> FloatArray:
-        """Per-link sums of a per-flow quantity (e.g. allocated rates).
-
-        Accumulates in incidence order — flow-major, so within each
-        link the same ascending-flow order a Python loop over the
-        member table uses; ``np.bincount`` adds sequentially, making
-        the float sums bit-identical to that loop.  Only valid when
-        :attr:`has_duplicate_pairs` is False.
-        """
-        return np.bincount(
-            self.flow_cols, weights=per_flow[self.flow_rows], minlength=self.n_links
-        )
 
     def solve(
         self,

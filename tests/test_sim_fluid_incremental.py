@@ -6,8 +6,8 @@ count-based progressive-filling solver.  These tests pin it to the
 pure :func:`maxmin_allocate` oracle — ``float.hex``-exactly per
 component, on both sides of the scalar/kernel dispatch threshold — and
 to the ``reference`` engine mode (the seed's full-recompute path) on
-randomized link/route sets, including rate-capped private links and
-empty routes.
+randomized link/route sets, including rate-capped flows and empty
+routes.
 """
 
 import math
@@ -48,6 +48,18 @@ def _drive(mode, specs):
         Process(sim, starter(idx, route, nbytes, start, cap))
     sim.run_to_completion()
     return finishes, net
+
+
+def _oracle_input(net, flows):
+    """The oracle's view of ``flows``: key routes, with each cap a
+    pseudo-link ``~flow_id`` of capacity ``flow.cap``."""
+    capacities = {}
+    for flow in flows:
+        for link_id in flow.route:
+            capacities[link_id] = net.link(link_id).capacity
+        if flow.cap is not None:
+            capacities[~flow.flow_id] = flow.cap
+    return capacities, [flow.key_route for flow in flows]
 
 
 class TestIncrementalMatchesReference:
@@ -115,12 +127,7 @@ class TestAllocationMatchesOracle:
         if not rates:
             return  # every spec was an uncapped empty route
         flows = [net._flows[fid] for fid in sorted(rates)]
-        capacities = {
-            link_id: net.link(link_id).capacity
-            for flow in flows
-            for link_id in flow.route
-        }
-        oracle = maxmin_allocate(capacities, [flow.route for flow in flows])
+        oracle = maxmin_allocate(*_oracle_input(net, flows))
         for flow, expect in zip(flows, oracle):
             assert rates[flow.flow_id] == pytest.approx(expect, rel=1e-9)
 
@@ -189,9 +196,9 @@ def _engine_and_oracle(capacities, routes, caps):
         net.start_flow([links[link] for link in route], 1e9, rate_cap=cap)
     rates = net.current_rates()
     assert (net.allocations, net.flows_solved) == (1, len(routes))
+    assert net.link_ids() == links  # caps register no links
     flows = [net._flows[fid] for fid in sorted(rates)]
-    all_caps = {link: net.link(link).capacity for link in range(net.num_links)}
-    oracle = maxmin_allocate(all_caps, [flow.route for flow in flows])
+    oracle = maxmin_allocate(*_oracle_input(net, flows))
     return [rates[flow.flow_id].hex() for flow in flows], [r.hex() for r in oracle]
 
 
@@ -239,7 +246,7 @@ class TestComponentMatchesOracleExactly:
 
 @pytest.mark.parametrize("mode", ["incremental", "reference"])
 def test_retired_cap_links_leave_link_bytes(mode):
-    """A retired flow's private cap link is not kept in ``link_bytes``."""
+    """A capped flow counts its bytes on its public links only."""
     _, net = _drive(mode, [([0], 5.0, 0.5 * k, 4.0) for k in range(8)])
     assert net.flows_completed == 8
     assert set(net.link_bytes) <= set(net.link_ids())
@@ -249,21 +256,18 @@ def test_retired_cap_links_leave_link_bytes(mode):
 def _capped_rounds(mode, n_links=6, rounds=4, per_round=12, gap=1000.0):
     """Rate-capped flows in rounds separated by idle gaps.
 
-    Returns (net, public links touched, peak concurrent flows, whether
-    the network was empty at every gap).
+    Returns (net, links touched, whether the network was empty at
+    every gap).
     """
     sim = Simulator()
     net = FlowNetwork(sim, mode=mode)
     links = [net.add_link(5.0 + 3.0 * i, f"l{i}") for i in range(n_links)]
     touched: set[int] = set()
-    peak = [0]
     idle = []
 
     def flow(route, nbytes, start, cap):
         yield Sleep(start)
-        event = net.start_flow(route, nbytes, rate_cap=cap)
-        peak[0] = max(peak[0], net.active_flows)
-        yield event
+        yield net.start_flow(route, nbytes, rate_cap=cap)
 
     def watcher():
         for r in range(1, rounds):
@@ -277,21 +281,86 @@ def _capped_rounds(mode, n_links=6, rounds=4, per_round=12, gap=1000.0):
             Process(sim, flow(route, 50.0 + 7.0 * k, gap * r + 0.1 * k, 2.0 + k % 4))
     Process(sim, watcher())
     sim.run_to_completion()
-    return net, touched, peak[0], all(idle) and len(idle) == rounds - 1
+    return net, touched, all(idle) and len(idle) == rounds - 1
 
 
-def test_slot_arrays_stay_bounded_across_idle_gaps():
-    """Public links keep resident slots and private caps recycle theirs,
-    so the slot arrays never outgrow (public links + concurrent flows),
-    and byte counts carry across idle gaps."""
-    net, touched, peak, emptied = _capped_rounds("incremental")
-    ref, _, _, _ = _capped_rounds("reference")
+def test_link_bytes_carry_across_idle_gaps():
+    """Byte counts carry across idle gaps, and the two modes count
+    the same integer-sized flows to the same bytes exactly."""
+    net, touched, emptied = _capped_rounds("incremental")
+    ref, _, _ = _capped_rounds("reference")
     assert emptied
     assert net.flows_completed == ref.flows_completed == 48
-    assert net._slots_used <= len(touched) + peak
-    inc_bytes, ref_bytes = net.link_bytes, ref.link_bytes
-    for link_id in net.link_ids():
-        assert inc_bytes.get(link_id, 0.0) == pytest.approx(
-            ref_bytes.get(link_id, 0.0), rel=1e-9, abs=1e-6
-        )
-    assert set(inc_bytes) == set(touched)
+    assert net.link_bytes == ref.link_bytes
+    assert set(net.link_bytes) == set(touched)
+    assert net.link_ids() == ref.link_ids() == list(range(6))
+
+
+@pytest.mark.parametrize("snapshot_at", [1.0, 3.0, None])
+def test_link_bytes_equal_across_modes_mid_run(snapshot_at):
+    """``link_bytes`` is the same dict in both modes, ``==`` not approx,
+    also while flows are active: rates are binary fractions here, so
+    both modes settle every residual exactly."""
+
+    def drive(mode):
+        sim = Simulator()
+        net = FlowNetwork(sim, mode=mode)
+        a, b = net.add_link(6.0, "a"), net.add_link(4.0, "b")
+        snapshot = []
+
+        def flow(route, nbytes, start, cap=None):
+            if start:
+                yield Sleep(start)
+            yield net.start_flow(route, nbytes, rate_cap=cap)
+
+        def watcher():
+            yield Sleep(snapshot_at)
+            snapshot.append((net.active_flows, net.link_bytes))
+
+        Process(sim, flow([a], 16, 0.0))
+        Process(sim, flow([a, b], 32, 0.0, cap=2.0))
+        Process(sim, flow([b], 24, 2.0))
+        Process(sim, flow([], 6, 0.5, cap=1.0))
+        if snapshot_at is not None:
+            Process(sim, watcher())
+        sim.run_to_completion()
+        return snapshot or [(0, net.link_bytes)]
+
+    inc, ref = drive("incremental"), drive("reference")
+    assert inc == ref
+    active, carried = inc[0]
+    if snapshot_at is None:
+        assert (active, carried) == (0, {0: 48.0, 1: 56.0})
+    else:
+        assert active > 0
+
+
+def test_capped_des_run_registers_no_links():
+    """A t3e sendrecv round caps every message at the ping-pong rate
+    without adding a link before, during or after the run."""
+    from repro.beff.methods import step
+    from repro.beff.patterns import ring_patterns
+    from repro.machines import get_machine
+    from repro.mpi.comm import World
+
+    fabric = get_machine("t3e").fabric_factory(4)()
+    assert fabric.params.msg_rate_cap is not None
+    net = fabric.flows
+    before = (net.num_links, net.link_ids())
+    during = []
+
+    def watcher():
+        for _ in range(200):
+            yield Sleep(5e-6)
+            if net.active_flows:
+                during.append((net.num_links, net.link_ids()))
+
+    def program(comm):
+        yield from comm.barrier()
+        yield from step("sendrecv", comm, ring_patterns(4)[0], 256 * 1024)
+
+    Process(fabric.sim, watcher())
+    World(fabric).run(program)
+    assert net.flows_completed > 0
+    assert during and all(seen == before for seen in during)
+    assert (net.num_links, net.link_ids()) == before

@@ -134,22 +134,6 @@ class TestCappedMaxminPlanPath:
 
 
 class TestIncidenceStructure:
-    def test_duplicate_pair_detection(self):
-        assert RouteIncidence([(0, 0)]).has_duplicate_pairs
-        assert not RouteIncidence([(0, 1), (1, 0)]).has_duplicate_pairs
-
-    def test_link_totals_matches_python_sum(self):
-        routes = [(0, 1), (1, 2), (0, 2), (2,)]
-        incidence = RouteIncidence(routes)
-        per_flow = np.asarray([0.1, 0.2, 0.3, 0.4])
-        totals = incidence.link_totals(per_flow)
-        for col, link in enumerate(incidence.link_ids):
-            expected = 0.0
-            for fid, route in enumerate(routes):
-                if link in route:
-                    expected += float(per_flow[fid])
-            assert float(totals[col]).hex() == expected.hex()
-
     def test_duplicate_links_counted_with_multiplicity(self):
         # a flow crossing the same link twice halves its share there,
         # exactly as the oracle counts it

@@ -10,8 +10,10 @@ quantifies the (small) difference.
 
 Per-message time = startup latency (+ rendezvous handshake above the
 eager threshold) + L / rate, with rates from progressive filling over
-the concurrent messages of the phase, honoring per-message caps
-(shared-memory copy limit, protocol limit) by iterated fixing.
+the concurrent messages of the phase.  A per-message cap (shared-memory
+copy limit, protocol limit) is a pseudo-link at the end of its
+message's route, as in the DES's fluid engine, so a phase's rates are
+the DES's max-min rates for the same messages.
 
 Rates are *size-independent*: progressive filling sees only routes,
 capacities and per-message caps, never the byte count.  Each phase is
@@ -20,7 +22,7 @@ resolved, CSR incidence built and the capped max-min solved exactly
 once per (pattern, method[, stride]), with every message size then
 evaluated as a vectorized ``max(latency + L / rate)`` pass.  The
 allocation itself runs on :class:`repro.sim.kernel.RouteIncidence`,
-bit-identical to :func:`repro.sim.oracle.capped_maxmin` — the scalar
+bit-identical to :func:`repro.sim.oracle.maxmin_allocate` — the scalar
 reference oracle that :meth:`RoundModel.phase_time` prices with (the
 property tests pin the plan path against it).
 """
@@ -33,45 +35,9 @@ import numpy as np
 
 from repro.beff.patterns import CommPattern
 from repro.net.model import Fabric
-from repro.sim.kernel import FloatArray, RouteIncidence
-from repro.sim.oracle import capped_maxmin
+from repro.sim.kernel import RouteIncidence
+from repro.sim.oracle import maxmin_allocate
 from repro.topology.base import Route
-
-
-def _capped_maxmin_inc(
-    incidence: RouteIncidence,
-    capacities: FloatArray,
-    caps: list[float | None],
-) -> list[float]:
-    """:func:`~repro.sim.oracle.capped_maxmin` on a prebuilt incidence.
-
-    Bit-identical by construction: the kernel's ``active`` mask
-    reproduces calling the oracle on the active sub-list, the violator
-    scan compares the same floats in the same ascending-flow order,
-    and the residual clamp applies the identical
-    ``max(1e-12, residual - cap)`` per route entry in route order.
-    """
-    n = incidence.n_flows
-    rates = [0.0] * n
-    residual = capacities.astype(np.float64, copy=True)
-    active = np.ones(n, dtype=bool)
-    fptr, fcols = incidence.flow_ptr, incidence.flow_cols
-    while bool(active.any()):
-        alloc = incidence.solve(residual, active=active)
-        live = np.nonzero(active)[0].tolist()
-        violators = [i for i in live if caps[i] is not None and alloc[i] > caps[i]]
-        if not violators:
-            for i in live:
-                rates[i] = float(alloc[i])
-            break
-        for i in violators:
-            cap = caps[i]
-            assert cap is not None
-            rates[i] = cap
-            for col in fcols[fptr[i]:fptr[i + 1]].tolist():
-                residual[col] = max(1e-12, float(residual[col]) - cap)
-        active[violators] = False
-    return rates
 
 
 class _PhasePlan:
@@ -121,13 +87,12 @@ class _PhasePlan:
             mults.append(mult)
         self.n_priced = len(routes)
         if self.n_priced:
-            incidence = RouteIncidence(routes)
-            cap_arr = np.asarray(
-                [model._capacities[link] for link in incidence.link_ids],
-                dtype=np.float64,
-            )
-            self.rates = np.asarray(
-                _capped_maxmin_inc(incidence, cap_arr, caps), dtype=np.float64
+            incidence = RouteIncidence(routes, caps)
+            self.rates = incidence.solve(
+                np.asarray(
+                    [model._capacities[link] for link in incidence.link_ids],
+                    dtype=np.float64,
+                )
             )
             self.lat_eager = np.asarray(lat_e, dtype=np.float64)
             self.lat_rdv = np.asarray(lat_r, dtype=np.float64)
@@ -213,7 +178,7 @@ class RoundModel:
             metas.append((latency, nbytes))
         if not routes:
             return zero_latency
-        rates = capped_maxmin(self._capacities, routes, caps)
+        rates = maxmin_allocate(self._capacities, routes, caps)
         longest = max(
             latency + nbytes / rate
             for (latency, nbytes), rate in zip(metas, rates)

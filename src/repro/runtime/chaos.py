@@ -106,16 +106,20 @@ def _next(counter: str) -> int:
 
     path = pathlib.Path(root) / f"{counter}.count"
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a+") as fh:  # repro-lint: disable=REPRO008 -- flocked fault-injection counter, not a result; the lock is the atomicity mechanism
-        fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-        fh.seek(0)
-        text = fh.read().strip()
+    fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        text = os.pread(fd, 32, 0).strip()
         value = int(text) + 1 if text else 1
-        fh.seek(0)
-        fh.truncate()
-        fh.write(str(value))
-        fh.flush()
-        os.fsync(fh.fileno())
+        # One write over the old digits, never a truncate first: a
+        # broken pool SIGTERMs the surviving workers, possibly inside
+        # this update, and an emptied file would restart the count and
+        # re-arm ordinal 1.  The count only grows, so the new digits
+        # always cover the old ones.
+        os.pwrite(fd, str(value).encode(), 0)
+        os.fsync(fd)
+    finally:
+        os.close(fd)
     return value
 
 

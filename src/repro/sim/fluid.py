@@ -52,6 +52,7 @@ and both count a link's carried bytes when a flow retires (see
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -469,18 +470,17 @@ class FlowNetwork:
         threshold cannot change any allocation (see the property tests
         in ``tests/test_sim_kernel.py``).
         """
-        flows = self._flows
+        comp = [self._flows[fid] for fid in flow_ids]
+        incidence = RouteIncidence(
+            [flow.route for flow in comp], [flow.cap for flow in comp]
+        )
         links = self._links
-        incidence = RouteIncidence([flows[fid].key_route for fid in flow_ids])
-        caps = np.fromiter(
-            (
-                links[link_id].capacity if link_id >= 0 else flows[~link_id].cap
-                for link_id in incidence.link_ids
-            ),
+        capacities = np.fromiter(
+            (links[link_id].capacity for link_id in incidence.link_ids),
             dtype=np.float64,
             count=incidence.n_links,
         )
-        return dict(zip(flow_ids, incidence.solve(caps).tolist()))
+        return dict(zip(flow_ids, incidence.solve(capacities).tolist()))
 
     def _arm_timer(self) -> None:
         """(Re)schedule the single completion timer from the finish heap."""
@@ -536,14 +536,20 @@ class FlowNetwork:
         self._settle()
         now = self.sim.now
         if not self._incremental:
-            done = [
-                f
-                for f in self._flows.values()
-                if f.remaining <= _EPS_BYTES or f.finish_time <= now + _EPS_TIME
-            ]
+            # the incremental rule: retire in finish-time order, up to
+            # the first flow neither due nor within _EPS_BYTES
+            done = list(
+                itertools.takewhile(
+                    lambda f: f.finish_time <= now + _EPS_TIME
+                    or f.remaining <= _EPS_BYTES,
+                    sorted(self._flows.values(), key=lambda f: (f.finish_time, f.flow_id)),
+                )
+            )
             for flow in done:
                 self._retire(flow)
-            self._reallocate_reference()
+            self._reallocate_reference(
+                tuple(link_id for flow in done for link_id in flow.route)
+            )
             for flow in done:
                 flow.event.trigger(now)
             return
@@ -582,8 +588,7 @@ class FlowNetwork:
         ``touched`` are the links whose membership or capacity just
         changed.  A flow sharing a link chain with them whose residual
         is within ``_EPS_BYTES`` finishes now, as the incremental flush
-        finishes it when it re-solves that component.  (After a timer
-        no such residual is left: ``_on_timer`` retires them all.)
+        finishes it when it re-solves that component.
         """
         if self._timer is not None:
             self.sim.cancel(self._timer)
@@ -594,13 +599,14 @@ class FlowNetwork:
         self.flows_solved += len(self._flows)
 
         flows = list(self._flows.values())
-        capacities: dict[int, float] = {}
-        for flow in flows:
-            for link_id in flow.route:
-                capacities[link_id] = self._links[link_id].capacity
-            if flow.cap is not None:
-                capacities[~flow.flow_id] = flow.cap
-        rates = maxmin_allocate(capacities, [flow.key_route for flow in flows])
+        capacities = {
+            link_id: self._links[link_id].capacity
+            for flow in flows
+            for link_id in flow.route
+        }
+        rates = maxmin_allocate(
+            capacities, [flow.route for flow in flows], [flow.cap for flow in flows]
+        )
         for flow, rate in zip(flows, rates):
             flow.rate = rate
 

@@ -55,100 +55,104 @@ FloatArray = NDArray[np.float64]
 IntArray = NDArray[np.int64]
 BoolArray = NDArray[np.bool_]
 
-_NEVER = 1 << 62
-
 
 class RouteIncidence:
     """Link×flow incidence of a set of routes, in CSR form.
 
-    Built once (per memoised round model, or per solved component) and
-    reused across solver invocations: the arrays are the *structure*;
-    capacities and active-flow subsets vary per call.  Duplicate link
-    ids within a route are preserved — the oracles count them with
-    multiplicity, so the kernel must too.
+    Built once (per memoised phase plan, or per solved component) and
+    reused across solver invocations: the arrays are the *structure*,
+    link capacities vary per call.  Duplicate link ids within a route
+    are preserved — the oracle counts them with multiplicity, so the
+    kernel must too.  ``caps[i]``, when given and not ``None``, adds
+    flow ``i``'s rate cap as a pseudo column right after its route's
+    links, exactly where :func:`~repro.sim.oracle.maxmin_allocate`
+    puts it.  Columns are numbered in first-touch order, pseudo ones
+    included, so column order *is* the oracle's saturation-scan order.
     """
 
     __slots__ = (
         "n_flows",
         "n_links",
+        "n_cols",
         "link_ids",
         "flow_cols",
         "flow_rows",
-        "flow_ptr",
         "link_ptr",
         "link_rows",
         "empty",
+        "_link_cols",
+        "_cap_cols",
+        "_cap_vals",
     )
 
     def __init__(
         self,
         routes: Sequence[tuple[int, ...]],
-        link_ids: Sequence[int] | None = None,
+        caps: Sequence[float | None] | None = None,
     ) -> None:
-        #: column order: caller-supplied link universe, or first-touch
-        if link_ids is None:
-            seen: dict[int, None] = {}
-            for route in routes:
-                for link in route:
-                    if link not in seen:
-                        seen[link] = None
-            link_ids = list(seen)
-        self.link_ids: list[int] = list(link_ids)
-        col_of = {link: col for col, link in enumerate(self.link_ids)}
+        col_of: dict[int, int] = {}
+        entries: list[int] = []
+        lengths: list[int] = []
+        cap_cols: list[int] = []
+        cap_vals: list[float] = []
+        for i, route in enumerate(routes):
+            for link in route:
+                col = col_of.get(link)
+                if col is None:
+                    col = col_of[link] = len(col_of) + len(cap_cols)
+                entries.append(col)
+            cap = caps[i] if caps is not None else None
+            if cap is not None:
+                cap_cols.append(len(col_of) + len(cap_cols))
+                cap_vals.append(cap)
+                entries.append(cap_cols[-1])
+            lengths.append(len(route) + (cap is not None))
+        #: the real links, in first-touch order: what ``solve`` takes
+        #: capacities for
+        self.link_ids: list[int] = list(col_of)
         self.n_flows = len(routes)
-        self.n_links = len(self.link_ids)
-        lengths = np.asarray([len(route) for route in routes], dtype=np.int64)
-        #: dense column per incidence entry, flows concatenated in order
-        self.flow_cols: IntArray = np.asarray(
-            [col_of[link] for route in routes for link in route], dtype=np.int64
+        self.n_links = len(col_of)
+        self.n_cols = len(col_of) + len(cap_cols)
+        self._link_cols: IntArray = np.fromiter(
+            col_of.values(), dtype=np.int64, count=self.n_links
         )
+        self._cap_cols: IntArray = np.asarray(cap_cols, dtype=np.int64)
+        self._cap_vals: FloatArray = np.asarray(cap_vals, dtype=np.float64)
+        lens = np.asarray(lengths, dtype=np.int64)
+        #: column per incidence entry, flows concatenated in order
+        self.flow_cols: IntArray = np.asarray(entries, dtype=np.int64)
         #: row (flow) index per incidence entry, aligned with flow_cols
         self.flow_rows: IntArray = np.repeat(
-            np.arange(self.n_flows, dtype=np.int64), lengths
+            np.arange(self.n_flows, dtype=np.int64), lens
         )
-        #: flow -> its slice of flow_cols (CSR over rows, route order)
-        fptr = np.zeros(self.n_flows + 1, dtype=np.int64)
-        np.cumsum(lengths, out=fptr[1:])
-        self.flow_ptr: IntArray = fptr
-        #: link -> member flow indices (CSR over columns, dups preserved)
+        #: column -> member flow indices (CSR over columns, dups preserved)
         order = np.argsort(self.flow_cols, kind="stable")
         self.link_rows: IntArray = self.flow_rows[order]
-        ptr = np.zeros(self.n_links + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.flow_cols, minlength=self.n_links), out=ptr[1:])
+        ptr = np.zeros(self.n_cols + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.flow_cols, minlength=self.n_cols), out=ptr[1:])
         self.link_ptr: IntArray = ptr
-        #: flows with no links (rate = inf, excluded from filling)
-        self.empty: BoolArray = lengths == 0
+        #: flows with no links and no cap (rate = inf, excluded from filling)
+        self.empty: BoolArray = lens == 0
 
-    def solve(
-        self,
-        capacities: FloatArray,
-        active: BoolArray | None = None,
-    ) -> FloatArray:
+    def solve(self, capacities: FloatArray) -> FloatArray:
         """Max-min rates, bit-identical to :func:`~repro.sim.oracle.maxmin_allocate`.
 
-        ``capacities`` is indexed by column (aligned with
-        :attr:`link_ids`).  ``active`` restricts the computation to a
-        flow subset — exactly as if the oracle were called on the
-        sub-list — with inactive flows reported at rate 0.0 (callers
-        ignore those slots).
+        ``capacities`` is aligned with :attr:`link_ids`; the caps given
+        at construction fill the pseudo columns.
         """
-        n_flows, n_links = self.n_flows, self.n_links
-        rates = np.zeros(n_flows, dtype=np.float64)
-        if active is None:
-            unfixed = ~self.empty
-        else:
-            unfixed = active & ~self.empty
-            rates[active & self.empty] = math.inf
-        if active is None:
-            rates[self.empty] = math.inf
-        if n_links == 0 or not bool(unfixed.any()):
+        n_cols = self.n_cols
+        rates = np.zeros(self.n_flows, dtype=np.float64)
+        rates[self.empty] = math.inf
+        unfixed = ~self.empty
+        if not bool(unfixed.any()):
             return rates
 
         rows, cols = self.flow_rows, self.flow_cols
-        residual = capacities.astype(np.float64, copy=True)
-        counts: IntArray = np.bincount(cols[unfixed[rows]], minlength=n_links)
-        scan_rank = self._scan_rank(unfixed)
-        shares = np.empty(n_links, dtype=np.float64)
+        residual = np.empty(n_cols, dtype=np.float64)
+        residual[self._link_cols] = capacities
+        residual[self._cap_cols] = self._cap_vals
+        counts: IntArray = np.diff(self.link_ptr)
+        shares = np.empty(n_cols, dtype=np.float64)
         while True:
             in_play = counts > 0
             if not bool(in_play.any()):  # pragma: no cover - defensive
@@ -162,11 +166,11 @@ class RouteIncidence:
                 break
             tol = bottleneck * (1.0 + 1e-12)
             candidates = in_play & (shares <= tol)
-            newly = self._live_scan(candidates, unfixed, residual, tol, scan_rank)
+            newly = self._live_scan(candidates, unfixed, residual, tol)
             rates[newly] = bottleneck
-            # per-link subtraction multiplicity: how many times the
-            # oracle's per-flow loop hits each link this round
-            mult: IntArray = np.bincount(cols[newly[rows]], minlength=n_links)
+            # per-column subtraction multiplicity: how many times the
+            # oracle's per-flow loop hits each column this round
+            mult: IntArray = np.bincount(cols[newly[rows]], minlength=n_cols)
             counts = counts - mult
             pending = mult > 0
             while bool(pending.any()):
@@ -178,43 +182,24 @@ class RouteIncidence:
                 break
         return rates
 
-    def _scan_rank(self, unfixed: BoolArray) -> IntArray:
-        """Per-column scan position: first touch over the active flows.
-
-        The oracle's saturation scan walks ``link_members`` in dict
-        insertion order — the order links are first seen while
-        enumerating the (active) routes.  Restricting to the active
-        flows matters: the oracle is invoked on the sub-list, so its
-        insertion order is the sub-list's.
-        """
-        vals = self.flow_cols[unfixed[self.flow_rows]]
-        uniq, first = np.unique(vals, return_index=True)
-        rank = np.full(self.n_links, _NEVER, dtype=np.int64)
-        rank[uniq] = first
-        return rank
-
     def _live_scan(
         self,
         candidates: BoolArray,
         unfixed: BoolArray,
         residual: FloatArray,
         tol: float,
-        scan_rank: IntArray,
     ) -> BoolArray:
         """The oracle's sequential saturation scan over the candidates.
 
         Counts only shrink while the scan fixes flows, so shares only
-        grow: links outside the round-start candidate set can never
+        grow: columns outside the round-start candidate set can never
         saturate mid-round, and the scan needs to replay *only* the
-        candidates (usually a handful), in first-touch order, testing
-        the live count exactly as the oracle does.
+        candidates (usually a handful), in column (= first-touch)
+        order, testing the live count exactly as the oracle does.
         """
         before = unfixed.copy()
-        cand_cols = np.nonzero(candidates)[0]
-        if len(cand_cols) > 1:
-            cand_cols = cand_cols[np.argsort(scan_rank[cand_cols], kind="stable")]
         ptr, link_rows = self.link_ptr, self.link_rows
-        for col in cand_cols.tolist():
+        for col in np.nonzero(candidates)[0].tolist():
             members = link_rows[ptr[col]:ptr[col + 1]]
             live = int(np.count_nonzero(unfixed[members]))
             if live == 0:
@@ -226,4 +211,3 @@ class RouteIncidence:
         # that update sees the pre-scan mask it expects
         unfixed |= before
         return newly
-

@@ -1,6 +1,6 @@
-"""Scalar reference solvers for max-min fair allocation.
+"""Scalar reference solver for max-min fair allocation.
 
-The one home of the pure-Python progressive-filling oracles.  The
+The one home of the pure-Python progressive-filling oracle.  The
 production solvers — ``FlowNetwork._solve_component`` (small
 components), :class:`repro.sim.kernel.RouteIncidence` (large ones and
 the analytic round model) — compute exactly these rates, ``float.hex``
@@ -11,38 +11,54 @@ One semantics throughout: per saturation round, the minimum share
 first-touch order testing their *live* count — fixing the members of
 an earlier saturated link shrinks a later link's count (its residual
 is frozen until the round's subtractions), so a later tie candidate
-can drop back out.
+can drop back out.  A per-flow rate cap is a pseudo-link whose only
+member is that flow, placed right after the flow's route links: its
+first-touch position, which decides how ties fall.  The DES, the
+kernel and the analytic round model all treat a cap this way.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Hashable
 
 
 def maxmin_allocate(
     capacities: dict[int, float],
     routes: list[tuple[int, ...]],
+    caps: list[float | None] | None = None,
 ) -> list[float]:
     """Progressive-filling max-min fair rates for ``routes``.
 
     ``capacities`` maps link id -> bytes/s; each route is the tuple of
     link ids one flow crosses (a link crossed twice counts twice).
-    Returns one rate per route.  A flow with an empty route gets
-    ``math.inf``.  ``FlowNetwork(mode="reference")`` runs this over
-    every active flow on each membership change.
+    ``caps[i]``, when given and not ``None``, bounds flow ``i``'s rate
+    as a pseudo-link of that capacity after its route (see the module
+    docstring).  Returns one rate per route.  An uncapped flow with an
+    empty route gets ``math.inf``.  ``FlowNetwork(mode="reference")``
+    runs this over every active flow on each membership change.
     """
     rates = [0.0] * len(routes)
-    residual: dict[int, float] = {}
-    link_members: dict[int, list[int]] = {}
+    residual: dict[Hashable, float] = {}
+    link_members: dict[Hashable, list[int]] = {}
     unfixed: set[int] = set()
+    key_routes: list[tuple[Hashable, ...]] = []
     for idx, route in enumerate(routes):
-        if not route:
-            rates[idx] = math.inf
-            continue
-        unfixed.add(idx)
+        key_route: tuple[Hashable, ...] = route
         for link_id in route:
             residual[link_id] = capacities[link_id]
             link_members.setdefault(link_id, []).append(idx)
+        cap = caps[idx] if caps is not None else None
+        if cap is not None:
+            pseudo = ("cap", idx)
+            residual[pseudo] = cap
+            link_members[pseudo] = [idx]
+            key_route = (*route, pseudo)
+        key_routes.append(key_route)
+        if key_route:
+            unfixed.add(idx)
+        else:
+            rates[idx] = math.inf
 
     while unfixed:
         bottleneck = math.inf
@@ -70,42 +86,6 @@ def maxmin_allocate(
                         unfixed.discard(i)
         for i in newly_fixed:
             rates[i] = bottleneck
-            for link_id in routes[i]:
+            for link_id in key_routes[i]:
                 residual[link_id] = max(0.0, residual[link_id] - bottleneck)
     return rates
-
-
-def capped_maxmin(
-    capacities: dict[int, float],
-    routes: list[tuple[int, ...]],
-    caps: list[float | None],
-) -> list[float]:
-    """Max-min rates where flow i may not exceed ``caps[i]``.
-
-    Iterated fixing: allocate, clamp violators to their cap, charge
-    their usage to the links, repeat on the rest — the standard way to
-    fold per-flow rate limits into progressive filling.  The analytic
-    b_eff round model (``RoundModel.phase_time``) prices phases with it.
-    """
-    n = len(routes)
-    rates: list[float | None] = [None] * n
-    residual = dict(capacities)
-    active = list(range(n))
-    while active:
-        alloc = maxmin_allocate(residual, [routes[i] for i in active])
-        violators = [
-            (idx, i)
-            for idx, i in enumerate(active)
-            if caps[i] is not None and alloc[idx] > caps[i]
-        ]
-        if not violators:
-            for idx, i in enumerate(active):
-                rates[i] = alloc[idx]
-            break
-        for _idx, i in violators:
-            rates[i] = caps[i]
-            for link_id in routes[i]:
-                residual[link_id] = max(1e-12, residual[link_id] - caps[i])
-        fixed = {i for _idx, i in violators}
-        active = [i for i in active if i not in fixed]
-    return [r if r is not None else 0.0 for r in rates]

@@ -1,4 +1,4 @@
-"""Tests for the analytic round model and capped max-min allocation."""
+"""Tests for the analytic round model and (capped) max-min allocation."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +7,7 @@ from repro.beff.analytic import RoundModel
 from repro.beff.patterns import CommPattern
 from repro.net import Fabric, NetParams
 from repro.sim import Simulator
-from repro.sim.oracle import capped_maxmin, maxmin_allocate
+from repro.sim.oracle import maxmin_allocate
 from repro.topology import Crossbar, Torus
 from repro.util import MB
 
@@ -60,13 +60,33 @@ class TestMaxminAllocate:
 
     def test_capped_flow_releases_bandwidth(self):
         # two flows on a 10-link; one capped at 2 -> the other gets 8
-        rates = capped_maxmin({0: 10.0}, [(0,), (0,)], [2.0, None])
-        assert rates[0] == pytest.approx(2.0)
-        assert rates[1] == pytest.approx(8.0)
+        rates = maxmin_allocate({0: 10.0}, [(0,), (0,)], caps=[2.0, None])
+        assert rates == [2.0, 8.0]
 
     def test_cap_above_share_inactive(self):
-        rates = capped_maxmin({0: 10.0}, [(0,), (0,)], [100.0, None])
-        assert rates == [pytest.approx(5.0), pytest.approx(5.0)]
+        rates = maxmin_allocate({0: 10.0}, [(0,), (0,)], caps=[100.0, None])
+        assert rates == [5.0, 5.0]
+
+    def test_cap_alone_bounds_an_empty_route(self):
+        rates = maxmin_allocate({0: 10.0}, [(), (0,)], caps=[3.0, None])
+        assert rates == [3.0, 10.0]
+
+    def test_capped_allocation_is_max_min_fair(self):
+        # every flow is held by a saturated link or by its own cap;
+        # iterated fixing left flow 1 at 1.5 with neither
+        capacities = {0: 4.0, 1: 4.0}
+        routes = [(1,), (0, 1), (0,), (1,)]
+        caps = [2.5, 2.5, 2.5, 0.5]
+        rates = maxmin_allocate(capacities, routes, caps)
+        assert rates == [1.75, 1.75, 2.25, 0.5]
+        for rate, route, cap in zip(rates, routes, caps):
+            loads = [
+                sum(r for r, rt in zip(rates, routes) if link in rt)
+                for link in route
+            ]
+            assert rate == cap or any(
+                load == capacities[link] for load, link in zip(loads, route)
+            )
 
 
 def make_model(topo, **params):

@@ -61,6 +61,23 @@ class TestChaosModule:
         assert chaos._next("cells") == 4
         assert (tmp_path / "cells.count").read_text() == "4"
 
+    def test_worker_killed_mid_update_keeps_the_count(self, monkeypatch, tmp_path):
+        # A broken pool SIGTERMs its surviving workers, possibly inside
+        # this update.  An emptied count file restarted the count, so the
+        # rebuilt pool's first cell hit ordinal 1 again, pool after pool.
+        monkeypatch.setenv(chaos.ENV_DIR, str(tmp_path))
+        assert chaos._next("cells") == 1
+
+        def killed(*args):
+            raise KeyboardInterrupt("worker killed before its write lands")
+
+        with monkeypatch.context() as m:
+            m.setattr(chaos.os, "pwrite", killed)
+            with pytest.raises(KeyboardInterrupt):
+                chaos._next("cells")
+        assert (tmp_path / "cells.count").read_text() == "1"
+        assert chaos._next("cells") == 2
+
     def test_poison_matches_exact_cell_key_only(self, monkeypatch):
         monkeypatch.setenv(chaos.ENV_POISON, "b_eff:t3e:4")
         chaos.on_cell("b_eff:t3e:2")  # different cell: untouched

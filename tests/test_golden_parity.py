@@ -10,6 +10,9 @@ trips) that perturbs a single ULP fails loudly.
 
 The matrix: b_eff on t3e + sr2201 with backend des + analytic, and
 b_eff_io on t3e + sp in fast + reference mode, all at 4 processes.
+The ``analytic-zoo/`` entries add the analytic b_eff aggregates of
+every library machine at 8, 32 and 128 processes, recorded before the
+round model's rate caps became pseudo-links (the DES's semantics).
 """
 
 import json
@@ -68,3 +71,18 @@ def test_beffio_aggregates_are_bit_identical(key):
         },
     }
     assert got == GOLDEN[key]
+
+
+@pytest.mark.parametrize("machine", sorted(MACHINES))
+def test_analytic_zoo_aggregates_are_bit_identical(machine):
+    spec = MACHINES[machine]()
+    for nprocs in (8, 32, 128):
+        result = spec.run_beff(nprocs, MeasurementConfig(backend="analytic"))
+        got = {
+            "b_eff": hexf(result.b_eff),
+            "b_eff_at_lmax": hexf(result.b_eff_at_lmax),
+            "ring_only_at_lmax": hexf(result.ring_only_at_lmax),
+            "logavg_ring": hexf(result.logavg_ring),
+            "logavg_random": hexf(result.logavg_random),
+        }
+        assert got == GOLDEN[f"analytic-zoo/{machine}/{nprocs}"], nprocs

@@ -4,10 +4,13 @@
 on the hot paths — large ``FlowNetwork`` components and the analytic
 round model — and the whole design rests on the replacement being
 ``float.hex``-exact, not approximately equal.  These properties drive
-randomized capacities and route structures (empty routes, singleton
-links, duplicate links within a route, degenerate equal-share ties)
-through both implementations and require identical bits, including
-under a shuffled event-tie order for the full FlowNetwork dispatch.
+randomized capacities, per-flow rate caps and route structures (empty
+routes, singleton links, duplicate links within a route, degenerate
+equal-share ties) through both implementations and require identical
+bits, including under a shuffled event-tie order for the full
+FlowNetwork dispatch.  ``TestOneCapSemantics`` pins every solver that
+takes caps — oracle, kernel, the DES's scalar component solver and
+both analytic pricing paths — to one answer.
 """
 
 from __future__ import annotations
@@ -18,13 +21,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.beff.analytic import _capped_maxmin_inc
+from repro.beff.analytic import RoundModel
 from repro.devtools.sanitizer import sanitized
 from repro.net import Fabric, NetParams
 from repro.sim import Simulator
+from repro.sim.fluid import _VEC_FLOWS
 from repro.sim.kernel import RouteIncidence
-from repro.sim.oracle import capped_maxmin, maxmin_allocate
+from repro.sim.oracle import maxmin_allocate
 from repro.topology import Torus
+from repro.topology.base import Route, Topology
 from repro.util import MB
 
 
@@ -32,13 +37,13 @@ def _hex(values):
     return ["inf" if math.isinf(v) else float(v).hex() for v in values]
 
 
-def _solve(capacities, routes):
+def _solve(capacities, routes, caps=None):
     """The kernel on a fresh incidence, as plain Python floats."""
-    incidence = RouteIncidence(routes)
-    caps = np.asarray(
+    incidence = RouteIncidence(routes, caps)
+    link_caps = np.asarray(
         [capacities[link] for link in incidence.link_ids], dtype=np.float64
     )
-    return incidence.solve(caps).tolist()
+    return incidence.solve(link_caps).tolist()
 
 
 # tie-heavy capacity pools: identical values force equal shares, the
@@ -50,7 +55,8 @@ _CAPACITY = st.one_of(
 
 
 @st.composite
-def _problems(draw, min_flows=0, max_flows=14):
+def _problems(draw, min_flows=0, max_flows=14, min_route=0):
+    """(capacities, routes, caps): each flow capped or not (``None``)."""
     n_links = draw(st.integers(min_value=1, max_value=12))
     capacities = {
         link: draw(_CAPACITY) for link in range(n_links)
@@ -59,45 +65,31 @@ def _problems(draw, min_flows=0, max_flows=14):
         st.lists(
             st.lists(
                 st.integers(min_value=0, max_value=n_links - 1),
-                min_size=0,
+                min_size=min_route,
                 max_size=4,
             ).map(tuple),
             min_size=min_flows,
             max_size=max_flows,
         )
     )
-    return capacities, routes
+    caps = draw(
+        st.lists(
+            st.one_of(st.none(), _CAPACITY),
+            min_size=len(routes),
+            max_size=len(routes),
+        )
+    )
+    return capacities, routes, caps
 
 
 class TestLiveSemantics:
     @settings(max_examples=200, deadline=None)
     @given(problem=_problems())
     def test_matches_maxmin_allocate(self, problem):
-        capacities, routes = problem
-        ref = maxmin_allocate(dict(capacities), routes)
-        vec = _solve(capacities, routes)
+        capacities, routes, caps = problem
+        ref = maxmin_allocate(dict(capacities), routes, caps)
+        vec = _solve(capacities, routes, caps)
         assert _hex(vec) == _hex(ref)
-
-    @settings(max_examples=100, deadline=None)
-    @given(problem=_problems(min_flows=1), data=st.data())
-    def test_active_subset_matches_oracle_on_sublist(self, problem, data):
-        capacities, routes = problem
-        active = np.asarray(
-            data.draw(
-                st.lists(
-                    st.booleans(), min_size=len(routes), max_size=len(routes)
-                )
-            )
-        )
-        sub = [routes[i] for i in range(len(routes)) if active[i]]
-        ref = maxmin_allocate(dict(capacities), sub)
-        incidence = RouteIncidence(routes)
-        caps = np.asarray(
-            [capacities[link] for link in incidence.link_ids], dtype=np.float64
-        )
-        vec = incidence.solve(caps, active=active)
-        picked = [float(vec[i]) for i in range(len(routes)) if active[i]]
-        assert _hex(picked) == _hex(ref)
 
     def test_empty_routes_get_infinite_rate(self):
         rates = _solve({0: 1.0}, [(), (0,), ()])
@@ -112,25 +104,106 @@ class TestLiveSemantics:
         assert _solve({0: 1.0}, []) == []
 
 
-class TestCappedMaxminPlanPath:
-    @settings(max_examples=100, deadline=None)
-    @given(problem=_problems(min_flows=1), data=st.data())
-    def test_incidence_variant_matches_reference(self, problem, data):
-        capacities, routes = problem
-        routes = [r for r in routes if r] or [(0,)]
-        caps = [
-            data.draw(
-                st.one_of(st.none(), st.floats(min_value=1e-4, max_value=5.0))
-            )
-            for _ in routes
-        ]
-        ref = capped_maxmin(dict(capacities), routes, caps)
-        incidence = RouteIncidence(routes)
-        cap_arr = np.asarray(
-            [capacities[link] for link in incidence.link_ids], dtype=np.float64
+class _TableTopology(Topology):
+    """Rank ``i``'s message to the last rank takes ``routes[i]``.
+
+    The route's ``hops`` carries ``i``, so two flows on the same links
+    stay distinct routes and can carry different caps.
+    """
+
+    def __init__(self, capacities, routes):
+        super().__init__(len(routes) + 1)
+        self.capacities = capacities
+        self.routes = routes
+
+    def _build(self, net):
+        for link in range(len(self.capacities)):
+            assert net.add_link(self.capacities[link]) == link
+
+    def route(self, src, dst):
+        return Route(links=tuple(self.routes[src]), hops=src, intra_node=False)
+
+
+class _TableFabric(Fabric):
+    """A zero-latency fabric whose per-message caps come from a table."""
+
+    def __init__(self, capacities, routes, caps):
+        params = NetParams(
+            latency=0.0, rendezvous_latency=0.0, eager_threshold=1 << 62
         )
-        vec = _capped_maxmin_inc(incidence, cap_arr, caps)
-        assert _hex(vec) == _hex(ref)
+        super().__init__(Simulator(), _TableTopology(capacities, routes), params)
+        self.caps = caps
+
+    def rate_cap_for(self, route):
+        return self.caps[route.hops]
+
+
+def _every_cap_path(capacities, routes, caps):
+    """Each solver's rates for one capped problem, as ``float.hex`` lists,
+    and per message whether ``phase_time`` priced it at the oracle's rate.
+
+    Routes must be non-empty: the analytic model prices a message with
+    no links by its latency alone.
+    """
+    fabric = _TableFabric(capacities, routes, caps)
+    last = len(routes)
+    for src in range(last):
+        route = fabric.route(src, last)
+        fabric.flows.start_flow(route.links, 1e9, rate_cap=fabric.rate_cap_for(route))
+    flow_ids = sorted(fabric.flows._flows)
+    des = fabric.flows._solve_component(flow_ids)
+    model = RoundModel(fabric)
+    plan = model._plan(("phase",), [(src, last, 1) for src in range(last)])
+    # phase_time prices its max(L / rate): let each message in turn
+    # carry the bytes that make it the slowest, under the oracle's rates
+    oracle = maxmin_allocate(dict(capacities), routes, caps)
+    phase = []
+    for k in range(last):
+        sizes = [1] * last
+        sizes[k] = 1 << 40
+        got = model.phase_time([(src, last, sizes[src]) for src in range(last)])
+        want = max(size / rate for size, rate in zip(sizes, oracle))
+        phase.append(got == want)
+    return {
+        "oracle": _hex(oracle),
+        "kernel": _hex(_solve(capacities, routes, caps)),
+        "des": _hex([des[fid] for fid in flow_ids]),
+        "plan": _hex(plan.rates.tolist()),
+        "phase_time": phase,
+    }
+
+
+class TestOneCapSemantics:
+    """A rate cap is a pseudo-link after its flow's route, everywhere.
+
+    The counterexample is one that iterated fixing (clamp the
+    violators to their caps, re-solve the rest) gets wrong: it gave
+    ``[2.0, 1.5, 2.5, 0.5]``, where flow 1 has no bottleneck link.
+    """
+
+    def test_counterexample_is_max_min_fair_on_every_path(self):
+        capacities = {0: 4.0, 1: 4.0}
+        routes = [(1,), (0, 1), (0,), (1,)]
+        caps = [2.5, 2.5, 2.5, 0.5]
+        want = _hex([1.75, 1.75, 2.25, 0.5])
+        paths = _every_cap_path(capacities, routes, caps)
+        assert paths.pop("phase_time") == [True] * 4
+        assert paths == dict.fromkeys(paths, want)
+        # the DES's public path: a one-instant FlowNetwork with rate_cap=
+        net = _TableFabric(capacities, routes, caps).flows
+        for route, cap in zip(routes, caps):
+            net.start_flow(route, 1e9, rate_cap=cap)
+        rates = net.current_rates()
+        assert _hex([rates[fid] for fid in sorted(rates)]) == want
+
+    # below _VEC_FLOWS flows, so "des" is the DES's scalar loop (the
+    # kernel is checked on its own)
+    @settings(max_examples=150, deadline=None)
+    @given(problem=_problems(min_flows=1, max_flows=_VEC_FLOWS - 1, min_route=1))
+    def test_every_path_agrees_on_random_capped_problems(self, problem):
+        paths = _every_cap_path(*problem)
+        assert all(paths.pop("phase_time"))
+        assert paths == dict.fromkeys(paths, paths["oracle"])
 
 
 class TestIncidenceStructure:
